@@ -304,7 +304,7 @@ def build_case_u4x(p: Params) -> list[PartialFactor]:
     if u % 4 != 0 or g % k != 0 or x == 2:
         raise ParameterError(f"case e/f needs u = 4x (x != 2) and k | g, got ({u}, {g})")
     kky = compose.ck_factorization_k3_times_kky(k, y).factors
-    triangles = blocks.near_cm_factorization_ms1_doubled(3, 1).decomposition.factors
+    triangles = blocks.near_cycle_factorization_doubled(3, 4).decomposition.factors
     factors = []
     if x == 1:
         for tf in triangles:
@@ -395,111 +395,76 @@ def build_case_remark_zigzag(p: Params, split: PrimeSplit) -> list[PartialFactor
 # lambda = 1 builders
 
 
-def _blown_partial_matching_cycle_factors(x: int, r: int, hole_group: int,
-                                          matchings) -> list[list[tuple[int, ...]]]:
-    """C_r-factors (as part-id cycles) of the blown partial 1-factorization
-    chunk missing part group `hole_group`; the K_2 base matchings inflate to
-    complete bipartite blocks of size r/2 carrying a C_r-factorization."""
-    half = r // 2
-    bip = blocks.ck_factorization_bipartite(half, half, r).decomposition.factors
-    out = []
-    for mf in (m for m in matchings if m.missing == hole_group):
-        for bf in bip:
-            part_cycles = []
-            for ((a, ha), (b, hb)) in mf.edges:
-                for cyc in bf.cycles:
-                    part_cycles.append(tuple(
-                        (a * r + ha * half + z) if side == 0 else (b * r + hb * half + z)
-                        for (side, z) in cyc))
-            out.append(part_cycles)
-    return out
+def _hub_and_groups(r: int, t: int, u: int, cycle_length: int,
+                    inner, abstract) -> list[PartialFactor]:
+    """Partial C_L-factorization of K_u x K_t for u = rx+1 (x = 1 or x > 2).
 
-
-def build_case_l1(p: Params) -> list[PartialFactor]:
-    """lambda = 1, u = kx+1, odd g: the alternating threading for x = 1;
-    for x > 2, complete graphs on the x part groups carry the threading
-    while a blown partial 1-factorization links the groups."""
-    lam, k, u, g = p.lam, p.k, p.u, p.g
-    if k % 4 != 0 or u % k != 1 or u <= k or g % 2 != 1:
-        raise ParameterError(f"case a needs k = 0 (mod 4), u = 1 (mod k), odd g, got {(k, u, g)}")
-    x = (u - 1) // k
+    `inner(r, t)` is a partial factorization of K_{r+1} x K_t, the answer
+    for x = 1.  For x > 2 each of the x part groups carries a copy of it
+    around the shared hub part u-1, and a blown partial 1-factorization
+    links the groups through `abstract(r, t)`, a factorization of C_r x K_t.
+    Each link factor inflates a K_2 matching edge to a complete bipartite
+    block of size r/2 carrying a C_r-factorization.  Group factors pair with
+    link factors hole by hole; the factors of all groups missing the hub
+    merge.
+    """
+    x = (u - 1) // r
     if x == 2:
         raise ParameterError("x = 2 belongs to the open exception family")
     if x == 1:
-        return list(compose.partial_ck_factorization_kplus1_times_t(k, g).factors)
+        return list(inner(r, t).factors)
     matchings = blocks.partial_one_factorization_multipartite(x, 2)
-    abstract = blocks.ck_factorization_cycle_times_complete(k, g).decomposition.factors
-    inner = compose.partial_ck_factorization_kplus1_times_t(k, g)
+    abstract_factors = abstract(r, t).factors
+    inner_factors = inner(r, t).factors
+    half = r // 2
+    bip = blocks.ck_factorization_bipartite(half, half, r).decomposition.factors
     hub = u - 1
-    per_hole = (g - 1) // 2
+    per_hole = (t - 1) // 2
     factors = []
     hub_batches: list[list[PartialFactor]] = [[] for _ in range(per_hole)]
     for i in range(x):
         linking = []
-        for part_cycles in _blown_partial_matching_cycle_factors(x, k, i, matchings):
-            linking.extend(_thread_components(part_cycles, abstract, None, k))
-        part_map = {w: i * k + w for w in range(k)}
-        part_map[k] = hub
-        group = []
-        hub_here = []
-        for f in inner.factors:
-            mapped = compose.relabel_factor(f, part_map, hole=part_map[f.hole])
-            (hub_here if mapped.hole == hub else group).append(mapped)
-        for idx, f in enumerate(hub_here):
-            hub_batches[idx].append(f)
-        if len(group) != len(linking) or len(hub_here) != per_hole:
-            raise ConstructionBugError("case a pairing is out of balance")
-        for gf, lf in zip(group, linking):
-            factors.append(PartialFactor.build(k, gf.hole,
-                                               list(gf.cycles) + list(lf.cycles)))
-    for batch in hub_batches:
-        cycles = []
-        for f in batch:
-            cycles.extend(f.cycles)
-        factors.append(PartialFactor.build(k, hub, cycles))
-    return factors
-
-
-def _partial_crs_block(r: int, s: int, x: int, u: int) -> list[PartialFactor]:
-    """Partial C_{rs}-factorization of K_u x K_s for u = rx+1 (x = 1 or > 2).
-
-    x = 1 is the Hamilton-halves construction directly; x > 2 splits K_u into
-    complete graphs on the x part groups plus a blown 1-factorization link,
-    pairing group factors with link factors hole by hole.
-    """
-    if x == 1:
-        return list(compose.partial_ckt_factorization_kplus1_times_t(r, s).factors)
-    matchings = blocks.partial_one_factorization_multipartite(x, 2)
-    abstract = list(compose.ckt_factorization_cycle_times_t(r, s).factors)
-    inner = compose.partial_ckt_factorization_kplus1_times_t(r, s)
-    hub = u - 1
-    per_hole = (s - 1) // 2
-    factors = []
-    hub_batches: list[list[PartialFactor]] = [[] for _ in range(per_hole)]
-    for i in range(x):
-        linking = []
-        for part_cycles in _blown_partial_matching_cycle_factors(x, r, i, matchings):
-            linking.extend(_thread_components(part_cycles, abstract, None, r * s))
+        for mf in (m for m in matchings if m.missing == i):
+            for bf in bip:
+                part_cycles = [tuple((a * r + ha * half + z) if side == 0
+                                     else (b * r + hb * half + z) for (side, z) in cyc)
+                               for ((a, ha), (b, hb)) in mf.edges for cyc in bf.cycles]
+                linking.extend(_thread_components(part_cycles, abstract_factors, None,
+                                                  cycle_length))
         part_map = {w: i * r + w for w in range(r)}
         part_map[r] = hub
         group = []
         hub_here = []
-        for f in inner.factors:
+        for f in inner_factors:
             mapped = compose.relabel_factor(f, part_map, hole=part_map[f.hole])
             (hub_here if mapped.hole == hub else group).append(mapped)
         for idx, f in enumerate(hub_here):
             hub_batches[idx].append(f)
         if len(group) != len(linking) or len(hub_here) != per_hole:
-            raise ConstructionBugError("hole block pairing is out of balance")
+            raise ConstructionBugError("hub-and-groups pairing is out of balance")
         for gf, lf in zip(group, linking):
-            factors.append(PartialFactor.build(r * s, gf.hole,
+            factors.append(PartialFactor.build(cycle_length, gf.hole,
                                                list(gf.cycles) + list(lf.cycles)))
     for batch in hub_batches:
         cycles = []
         for f in batch:
             cycles.extend(f.cycles)
-        factors.append(PartialFactor.build(r * s, hub, cycles))
+        factors.append(PartialFactor.build(cycle_length, hub, cycles))
     return factors
+
+
+def _cycle_times_complete(r: int, t: int) -> Decomposition:
+    return blocks.ck_factorization_cycle_times_complete(r, t).decomposition
+
+
+def build_case_l1(p: Params) -> list[PartialFactor]:
+    """lambda = 1, u = kx+1, odd g: the alternating threading of
+    K_{k+1} x K_g, spread over the x part groups when x > 2."""
+    lam, k, u, g = p.lam, p.k, p.u, p.g
+    if k % 4 != 0 or u % k != 1 or u <= k or g % 2 != 1:
+        raise ParameterError(f"case a needs k = 0 (mod 4), u = 1 (mod k), odd g, got {(k, u, g)}")
+    return _hub_and_groups(k, g, u, k, compose.partial_ck_factorization_kplus1_times_t,
+                           _cycle_times_complete)
 
 
 def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor]:
@@ -511,11 +476,9 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
     """
     lam, k, u, g = p.lam, p.k, p.u, p.g
     r, s = split.r, split.s
-    x = (u - 1) // r
     q = g // s
-    if x == 2:
-        raise ParameterError("x = 2 belongs to the open exception family")
-    block = _partial_crs_block(r, s, x, u)
+    block = _hub_and_groups(r, s, u, k, compose.partial_ckt_factorization_kplus1_times_t,
+                            compose.ckt_factorization_cycle_times_t)
     by_hole: dict[int, list[PartialFactor]] = {}
     for f in block:
         by_hole.setdefault(f.hole, []).append(f)
@@ -527,12 +490,9 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
                 cycles.extend(tuple((pp, b * s + z) for (pp, z) in cyc) for cyc in bf.cycles)
             factors.append(PartialFactor.build(k, hole, cycles))
     if q >= 3:
-        outer_params = Params(1, r, u, q)
-        if x == 1:
-            outer = list(compose.partial_ck_factorization_kplus1_times_t(r, q).factors)
-        else:
-            outer = build_case_l1(outer_params)
-        lex = blocks.hamilton_decomp_cycle_lex_empty(r, s).decomposition.factors
+        outer = _hub_and_groups(r, q, u, r, compose.partial_ck_factorization_kplus1_times_t,
+                                _cycle_times_complete)
+        lex = blocks.lex_cycle_factorization(r, s).decomposition.factors
         for of in outer:
             for lf in lex:
                 cycles = []

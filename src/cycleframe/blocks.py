@@ -21,8 +21,8 @@ from pathlib import Path
 from . import search, serialize
 from .graphs import (ConstructionBugError, Decomposition, DegenerateCycleError,
                      Edge, ExceptionalCase, MultiGraph, ParameterError,
-                     PartialFactor, Vertex, assemble_from_distances,
-                     complete_graph, edge_key, multipartite_complete)
+                     PartialFactor, assemble_from_distances, complete_graph,
+                     edge_key, multipartite_complete, trace_two_regular)
 from .verify import check_partition
 
 CACHE_ENV = "CYCLEFRAME_CACHE"
@@ -31,20 +31,6 @@ DEFAULT_CACHE_DIR = ".cycleframe-cache"
 EXPLICIT = "explicit"
 SEARCH = "search"
 CACHED = "cached"
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """A canonical request for one elementary factorization family."""
-
-    family: str
-    params: tuple
-
-    def cache_name(self) -> str:
-        blob = json.dumps({"family": self.family, "params": list(self.params)},
-                          sort_keys=True)
-        digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
-        return f"{self.family}-{digest}.json"
 
 
 @dataclass(frozen=True)
@@ -61,31 +47,40 @@ class MatchingFactor:
     edges: tuple[tuple, ...]
 
 
-def _cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR))
-
-
 def _cache_path(family: str, params: tuple) -> Path:
-    return _cache_dir() / BlockSpec(family, tuple(params)).cache_name()
+    blob = json.dumps({"family": family, "params": list(params)}, sort_keys=True)
+    digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
+    return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)) / f"{family}-{digest}.json"
 
 
-def _cached_factors(family: str, params: tuple, host: MultiGraph, builder):
-    """Run `builder` (returning a factor list) behind the disk cache."""
+def _cached(family: str, params: tuple, load, fresh, dump):
+    """The value `load` reads from the cache entry, else `fresh()`, stored.
+
+    `load` parses and verifies a payload, raising on any fault; an entry
+    that fails is deleted and rebuilt.  `dump` turns a fresh value into its
+    payload.  The cache only saves time: a failed write leaves no temporary
+    file behind and does not fail the build.
+    """
     path = _cache_path(family, params)
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text(encoding="ascii"))
-            return serialize.factors_from_payload(payload), CACHED
-        except (ValueError, KeyError):
-            pass  # corrupt cache entry: rebuild below
-    factors = builder()
-    payload = serialize.factors_payload(host, factors, [family] * len(factors))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(serialize.canonical_json_bytes(payload))
-    os.replace(tmp, path)
-    return factors, SEARCH
+    try:
+        return load(json.loads(path.read_text(encoding="ascii")))
+    except FileNotFoundError:
+        pass
+    except (ValueError, KeyError, TypeError, IndexError, ConstructionBugError):
+        path.unlink(missing_ok=True)
+    value = fresh()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return value
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(serialize.canonical_json_bytes(dump(value)))
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+    return value
 
 
 def _finish(host: MultiGraph, factors, strategy: str, tag: str) -> BlockResult:
@@ -94,6 +89,44 @@ def _finish(host: MultiGraph, factors, strategy: str, tag: str) -> BlockResult:
     if not result:
         raise ConstructionBugError(f"block {tag} failed verification: {result.reason} {result.path}")
     return BlockResult(dec, strategy)
+
+
+def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
+              holes, tag: str, first=None) -> BlockResult:
+    """One factor per entry of `holes`, found behind the cache.
+
+    `first()`, when given, is a constructive attempt returning the cycles of
+    each factor or raising UnsupportedBlockError; otherwise (or then) the
+    edge search fills each factor over every vertex outside its hole part
+    (None: the whole host).
+    """
+
+    def fresh() -> BlockResult:
+        raw = None
+        if first is not None:
+            try:
+                raw = first()
+            except search.UnsupportedBlockError:
+                pass
+        if raw is None:
+            specs = [(frozenset(v for v in host.vertices() if v[0] != hole), cycle_length)
+                     for hole in holes]
+            raw = search.decompose_into_factors(Counter(host.edges), specs)
+        factors = [PartialFactor.build(cycle_length, hole, cycles)
+                   for hole, cycles in zip(holes, raw)]
+        return _finish(host, factors, SEARCH, tag)
+
+    def load(payload) -> BlockResult:
+        factors = serialize.factors_from_payload(payload)
+        if [(f.cycle_length, f.hole) for f in factors] != [(cycle_length, h) for h in holes]:
+            raise ValueError(f"cache entry for {family} {params} has the wrong shape")
+        return _finish(host, factors, CACHED, tag)
+
+    def dump(result: BlockResult):
+        factors = result.decomposition.factors
+        return serialize.factors_payload(host, factors, [family] * len(factors))
+
+    return _cached(family, params, load, fresh, dump)
 
 
 def _as_factor(cycle_length: int, hole: int | None, int_cycles) -> PartialFactor:
@@ -136,6 +169,11 @@ def partial_one_factorization_multipartite(u: int, g: int) -> list[MatchingFacto
     if (g * (u - 1)) % 2 != 0:
         raise ParameterError(f"partial 1-factorization needs g(u-1) even, got u={u}, g={g}")
     host = multipartite_complete(u, g, 1)
+
+    def checked(factors):
+        return _check_matchings(factors, Counter(host.edges),
+                                lambda hole: {v for v in host.vertices() if v[0] != hole})
+
     if u % 2 == 1:
         factors = []
         for near in near_one_factorization(u):
@@ -143,7 +181,8 @@ def partial_one_factorization_multipartite(u: int, g: int) -> list[MatchingFacto
                 edges = tuple(sorted(edge_key((a, s), (b, (s + d) % g))
                                      for (a, b) in near.edges for s in range(g)))
                 factors.append(MatchingFactor(near.missing, edges))
-    elif g > 2:
+        return checked(factors)
+    if g > 2:
         # Even u forces even g; blow the g = 2 base through the g/2 distance
         # matchings of each K_{g/2,g/2} block.
         half = g // 2
@@ -155,36 +194,27 @@ def partial_one_factorization_multipartite(u: int, g: int) -> list[MatchingFacto
                     for ((a, ha), (b, hb)) in base.edges for z in range(half)))
                 factors.append(MatchingFactor(base.missing, edges))
         factors.sort(key=lambda f: f.missing)
-    else:
-        # Matchings do not fit PartialFactor; cache them in a bespoke shape.
-        path = _cache_path("partial_one_factor", (u, g))
-        if path.exists():
-            payload = json.loads(path.read_text(encoding="ascii"))
-            factors = [MatchingFactor(m["missing"],
-                                      tuple(tuple(tuple(v) for v in e) for e in m["edges"]))
-                       for m in payload["matchings"]]
-        else:
-            spans = []
-            for hole in range(u):
-                span = frozenset((p, s) for p in range(u) for s in range(g) if p != hole)
-                spans.extend([span] * g)
-            raw = search.decompose_into_matchings(Counter(host.edges), spans)
-            factors = []
-            for hole in range(u):
-                for d in range(g):
-                    edges = tuple(sorted(raw[hole * g + d]))
-                    factors.append(MatchingFactor(hole, edges))
-            payload = {"matchings": [{"missing": f.missing,
-                                      "edges": [[list(v) for v in e] for e in f.edges]}
-                                     for f in factors]}
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(serialize.canonical_json_bytes(payload))
-            os.replace(tmp, path)
-    _check_matchings(factors, Counter(host.edges),
-                     lambda hole: {(p, s) for p in range(u) for s in range(g) if p != hole})
-    return factors
+        return checked(factors)
+
+    # Matchings do not fit PartialFactor; cache them in a bespoke shape.
+    def searched():
+        spans = [frozenset(v for v in host.vertices() if v[0] != hole)
+                 for hole in range(u) for _ in range(g)]
+        raw = search.decompose_into_matchings(Counter(host.edges), spans)
+        return checked([MatchingFactor(i // g, tuple(sorted(edges)))
+                        for i, edges in enumerate(raw)])
+
+    def load(payload):
+        return checked([MatchingFactor(m["missing"],
+                                       tuple(tuple(tuple(v) for v in e) for e in m["edges"]))
+                        for m in payload["matchings"]])
+
+    def dump(factors):
+        return {"matchings": [{"missing": f.missing,
+                               "edges": [[list(v) for v in e] for e in f.edges]}
+                              for f in factors]}
+
+    return _cached("partial_one_factor", (u, g), load, searched, dump)
 
 
 def _check_matchings(factors, host_edges: Counter, span_of):
@@ -199,6 +229,7 @@ def _check_matchings(factors, host_edges: Counter, span_of):
             total[tuple(e)] += 1
     if total != host_edges:
         raise ConstructionBugError("matching factors do not partition the host")
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -294,49 +325,12 @@ def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
                    for missing, cyc in kplus1_near_factor_cycles(cycle_len)]
         return _finish(host, factors, EXPLICIT, "near_cycle_zigzag")
 
-    def build():
-        try:
-            base = search.rotational_base(u, cycle_len, use_inf=False)
-            factors = []
-            for j in range(u):
-                cycles = [[( (v + j) % u) for v in cyc] for cyc in base]
-                factors.append(_as_factor(cycle_len, j, cycles))
-            return factors
-        except search.UnsupportedBlockError:
-            pass
-        specs = []
-        for miss in range(u):
-            span = frozenset((v, 0) for v in range(u) if v != miss)
-            specs.append((span, cycle_len))
-        raw = search.decompose_into_factors(Counter(host.edges), specs)
-        return [PartialFactor.build(cycle_len, miss, cycles)
-                for miss, cycles in enumerate(raw)]
+    def rotational():
+        base = search.rotational_base(u, cycle_len, use_inf=False)
+        return [[tuple(((v + j) % u, 0) for v in cyc) for cyc in base] for j in range(u)]
 
-    factors, strategy = _cached_factors("near_cycle_ku2", (cycle_len, u), host, build)
-    return _finish(host, factors, strategy, "near_cycle_rotational")
-
-
-def near_ck_factorization_kplus1_doubled(k: int) -> BlockResult:
-    return near_cycle_factorization_doubled(k, k + 1)
-
-
-def near_c2k_factorization_u2(k: int, u: int) -> BlockResult:
-    """Near C_{2k}-factorization of K_u(2) for u = 1 (mod 2k), k >= 2."""
-    if k < 2:
-        raise ParameterError("half cycle length must be >= 2")
-    return near_cycle_factorization_doubled(2 * k, u)
-
-
-def near_cm_factorization_ms1_doubled(m: int, s: int) -> BlockResult:
-    """Near C_m-factorization of K_{ms+1}(2) for odd m >= 3."""
-    if m < 3 or m % 2 == 0:
-        raise ParameterError(f"near C_m-factorization needs odd m >= 3, got {m}")
-    if s < 0:
-        raise ParameterError("s must be >= 0")
-    if s == 0:
-        # K_1(2) is edgeless: the empty decomposition.
-        return BlockResult(Decomposition(MultiGraph(1, 1, {}, "complete_doubled"), (), ()), EXPLICIT)
-    return near_cycle_factorization_doubled(m, m * s + 1)
+    return _searched("near_cycle_ku2", (cycle_len, u), host, cycle_len, range(u),
+                     "near_cycle_rotational", rotational)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +351,13 @@ def ck_factorization_complete_doubled(m: int, u: int) -> BlockResult:
         factors = [_as_factor(cycle_len, None, [cyc]) for cyc in cycles]
         return _finish(host, factors, EXPLICIT, "walecki_double_cover")
 
-    def build():
-        try:
-            base = search.rotational_base(u - 1, cycle_len, use_inf=True)
-            factors = []
-            for j in range(u - 1):
-                cycles = [[(u - 1 if v == search.INF else (v + j) % (u - 1)) for v in cyc]
-                          for cyc in base]
-                factors.append(_as_factor(cycle_len, None, cycles))
-            return factors
-        except search.UnsupportedBlockError:
-            pass
-        span = frozenset((v, 0) for v in range(u))
-        raw = search.decompose_into_factors(Counter(host.edges),
-                                            [(span, cycle_len)] * (u - 1))
-        return [PartialFactor.build(cycle_len, None, cycles) for cycles in raw]
+    def rotational():
+        base = search.rotational_base(u - 1, cycle_len, use_inf=True)
+        return [[tuple((u - 1 if v == search.INF else (v + j) % (u - 1), 0) for v in cyc)
+                 for cyc in base] for j in range(u - 1)]
 
-    factors, strategy = _cached_factors("ck_factor_ku2", (cycle_len, u), host, build)
-    return _finish(host, factors, strategy, "complete_doubled_rotational")
+    return _searched("ck_factor_ku2", (cycle_len, u), host, cycle_len, [None] * (u - 1),
+                     "complete_doubled_rotational", rotational)
 
 
 def cs_factorization_complete_odd(s: int, g: int) -> BlockResult:
@@ -389,14 +372,8 @@ def cs_factorization_complete_odd(s: int, g: int) -> BlockResult:
                    for cyc in hamilton_decomposition_complete_odd(s)]
         return _finish(host, factors, EXPLICIT, "odd_complete_hamilton")
 
-    def build():
-        span = frozenset((v, 0) for v in range(g))
-        raw = search.decompose_into_factors(Counter(host.edges),
-                                            [(span, s)] * ((g - 1) // 2))
-        return [PartialFactor.build(s, None, cycles) for cycles in raw]
-
-    factors, strategy = _cached_factors("cs_factor_kg", (s, g), host, build)
-    return _finish(host, factors, strategy, "odd_cycle_resolvable")
+    return _searched("cs_factor_kg", (s, g), host, s, [None] * ((g - 1) // 2),
+                     "odd_cycle_resolvable")
 
 
 # ---------------------------------------------------------------------------
@@ -432,41 +409,7 @@ def ck_factorization_bipartite(m: int, n: int, kk: int) -> BlockResult:
                 factors.append(PartialFactor.build(kk, None, cycles))
         return _finish(host, factors, EXPLICIT, "bipartite_distance_pairs")
 
-    def build():
-        span = frozenset((p, s) for p in range(2) for s in range(n))
-        raw = search.decompose_into_factors(Counter(host.edges), [(span, kk)] * (n // 2))
-        return [PartialFactor.build(kk, None, cycles) for cycles in raw]
-
-    factors, strategy = _cached_factors("ck_factor_knn", (n, kk), host, build)
-    return _finish(host, factors, strategy, "bipartite_search")
-
-
-def trace_two_regular(edges) -> list[tuple[Vertex, ...]]:
-    """Split a 2-regular simple edge list into its cycles."""
-    adj: dict[Vertex, list[Vertex]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for v, nb in adj.items():
-        if len(nb) != 2 or nb[0] == nb[1]:
-            raise DegenerateCycleError(f"vertex {v} is not simply 2-regular")
-    cycles = []
-    visited: set[Vertex] = set()
-    for start in sorted(adj):
-        if start in visited:
-            continue
-        cyc = [start]
-        visited.add(start)
-        prev, cur = start, min(adj[start])
-        while cur != start:
-            cyc.append(cur)
-            visited.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        if len(cyc) < 3:
-            raise DegenerateCycleError("traced cycle shorter than 3")
-        cycles.append(tuple(cyc))
-    return cycles
+    return _searched("ck_factor_knn", (n, kk), host, kk, [None] * (n // 2), "bipartite_search")
 
 
 def cycle_times_complete_host(kk: int, m: int) -> MultiGraph:
@@ -509,32 +452,20 @@ def ck_factorization_cycle_times_complete(kk: int, m: int, n: int = 1) -> BlockR
             factors.append(PartialFactor.build(kk * n, None, pf.cycles))
         return _finish(host, factors, EXPLICIT, f"cycle_times_complete_n{n}")
 
-    def build():
-        span = frozenset((p, s) for p in range(kk) for s in range(m))
-        raw = search.decompose_into_factors(Counter(host.edges), [(span, kk * n)] * (m - 1))
-        return [PartialFactor.build(kk * n, None, cycles) for cycles in raw]
-
-    factors, strategy = _cached_factors("ck_factor_ckxkm", (kk, m, n), host, build)
-    return _finish(host, factors, strategy, f"cycle_times_complete_search_n{n}")
+    return _searched("ck_factor_ckxkm", (kk, m, n), host, kk * n, [None] * (m - 1),
+                     f"cycle_times_complete_search_n{n}")
 
 
 def hamilton_decomp_cycle_times_complete(m: int, n: int) -> BlockResult:
     """Hamilton decomposition of C_m x K_n for even n >= 2 (n-1 factors)."""
     if m < 3 or n < 2 or n % 2 != 0:
         raise ParameterError(f"hamilton cycle-times-complete needs m >= 3, even n, got ({m}, {n})")
-    host = cycle_times_complete_host(m, n)
     try:
         return ck_factorization_cycle_times_complete(m, n, n)
-    except (search.UnsupportedBlockError, ParameterError):
-        pass
-
-    def build():
-        span = frozenset((p, s) for p in range(m) for s in range(n))
-        raw = search.decompose_into_factors(Counter(host.edges), [(span, m * n)] * (n - 1))
-        return [PartialFactor.build(m * n, None, cycles) for cycles in raw]
-
-    factors, strategy = _cached_factors("ham_cycle_times_complete", (m, n), host, build)
-    return _finish(host, factors, strategy, "hamilton_tensor_search")
+    except ParameterError:
+        pass  # odd m with n = 2 (mod 4); a search that gave up is not rerun
+    return _searched("ham_cycle_times_complete", (m, n), cycle_times_complete_host(m, n),
+                     m * n, [None] * (n - 1), "hamilton_tensor_search")
 
 
 def cycle_lex_host(m: int, n: int) -> MultiGraph:
@@ -570,18 +501,8 @@ def lex_cycle_factorization(m: int, n: int, target_gcd: int = 1) -> BlockResult:
     except search.UnsupportedBlockError:
         pass
 
-    def build():
-        span = frozenset((p, s) for p in range(m) for s in range(n))
-        raw = search.decompose_into_factors(Counter(host.edges), [(span, cycle_len)] * n)
-        return [PartialFactor.build(cycle_len, None, cycles) for cycles in raw]
-
-    factors, strategy = _cached_factors("ham_cycle_lex", (m, n, target_gcd), host, build)
-    return _finish(host, factors, strategy, "lex_blowup_search")
-
-
-def hamilton_decomp_cycle_lex_empty(m: int, n: int) -> BlockResult:
-    """Hamilton decomposition of C_m (x) K̄_n into n factors."""
-    return lex_cycle_factorization(m, n, 1)
+    return _searched("ham_cycle_lex", (m, n, target_gcd), host, cycle_len, [None] * n,
+                     "lex_blowup_search")
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +523,8 @@ def _perfect_one_factorization(k: int, cubic):
 
     def hamilton_after_removal(matching) -> tuple[int, ...] | None:
         removed = set(matching)
-        rest = {v: [w for w in adj[v] if tuple(sorted((v, w))) not in removed]
-                for v in range(k)}
-        cyc = [0]
-        prev, cur = None, 0
-        for _ in range(k - 1):
-            nxt = [w for w in rest[cur] if w != prev]
-            if len(nxt) != 1 and prev is not None:
-                return None
-            step = min(nxt)
-            cyc.append(step)
-            prev, cur = cur, step
-        if 0 not in rest[cur] or len(set(cyc)) != k:
-            return None
-        return tuple(cyc)
+        cycles = trace_two_regular([e for e in cubic if e not in removed])
+        return cycles[0] if len(cycles) == 1 else None
 
     matchings: list[list[tuple[int, int]]] = []
 
@@ -658,10 +567,10 @@ def _thread_k3_over_p1f(k: int, one_factors):
     for m in range(3):
         removed = set(one_factors[m])
         keep = [e for e in all_edges if e not in removed]
-        cyc = trace_two_regular([((a, 0), (b, 0)) for a, b in keep])
+        cyc = trace_two_regular(keep)
         if len(cyc) != 1 or len(cyc[0]) != k:
             return None
-        hams.append(tuple(v for (v, _) in cyc[0]))
+        hams.append(cyc[0])
         adj_removed.append(removed)
     for e in all_edges:
         edge_owner_factors[e] = [m for m in range(3) if e not in adj_removed[m]]
@@ -738,14 +647,8 @@ def cubic_times_k3_factorization(k: int, cubic_edges) -> BlockResult:
         if factors is not None:
             return _finish(host, factors, EXPLICIT, "cubic_blowup_p1f")
 
-    def build():
-        span = frozenset((p, s) for p in range(k) for s in range(3))
-        raw = search.decompose_into_factors(Counter(host.edges), [(span, k)] * 3)
-        return [PartialFactor.build(k, None, cycles) for cycles in raw]
-
     params = (k,) + tuple(v for e in cubic for v in e)
-    factors, strategy = _cached_factors("cubic_times_k3", params, host, build)
-    return _finish(host, factors, strategy, "cubic_blowup_search")
+    return _searched("cubic_times_k3", params, host, k, [None] * 3, "cubic_blowup_search")
 
 
 def ct_factorization_tripartite(t: int) -> BlockResult:
@@ -781,10 +684,4 @@ def ct_factorization_tripartite(t: int) -> BlockResult:
                 factors.append(PartialFactor.build(t, None, pieces))
         return _finish(host, factors, EXPLICIT, "tripartite_doubling")
 
-    def build():
-        span = frozenset((p, s) for p in range(3) for s in range(t))
-        raw = search.decompose_into_factors(Counter(host.edges), [(span, t)] * t)
-        return [PartialFactor.build(t, None, cycles) for cycles in raw]
-
-    factors, strategy = _cached_factors("ct_factor_kttt", (t,), host, build)
-    return _finish(host, factors, strategy, "tripartite_search")
+    return _searched("ct_factor_kttt", (t,), host, t, [None] * t, "tripartite_search")

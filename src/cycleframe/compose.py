@@ -15,7 +15,8 @@ from __future__ import annotations
 from . import blocks
 from .graphs import (ConstructionBugError, Decomposition, ExceptionalCase,
                      MultiGraph, ParameterError, PartialFactor,
-                     assemble_from_distances, edge_key, tensor_complete)
+                     assemble_from_distances, edge_key, tensor_complete,
+                     trace_two_regular)
 from .verify import check_partition
 
 
@@ -93,7 +94,7 @@ def _cycle_times_t_half(part_cycle, slot_ham, use_reversed: bool):
             v = (part_cycle[x], slot_ham[j])
             w = (part_cycle[(x + step) % k], slot_ham[(j + 1) % t])
             edges.append(edge_key(v, w))
-    cycles = blocks.trace_two_regular(edges)
+    cycles = trace_two_regular(edges)
     if len(cycles) != 1 or len(cycles[0]) != k * t:
         raise ConstructionBugError("half factor is not a single Hamilton cycle")
     return cycles
@@ -248,7 +249,7 @@ def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFact
     factors = []
     if num_blocks >= 2:
         try:
-            lex = blocks.hamilton_decomp_cycle_lex_empty(k, block).decomposition.factors
+            lex = blocks.lex_cycle_factorization(k, block).decomposition.factors
             outer = blocks.ck_factorization_cycle_times_complete(k, num_blocks).decomposition.factors
             for outer_factor in outer:
                 for lex_factor in lex:
@@ -282,18 +283,3 @@ def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFact
                           for cyc in hole_factor.cycles)
         factors.append(PartialFactor.build(k * block, None, cycles))
     return factors
-
-
-def ckt_factorization_cycle_times_s(k: int, t: int, s: int) -> Decomposition:
-    """C_{kt}-factorization of C_k x K_s for s = 0 (mod 2t), even k >= 4."""
-    if k < 4 or k % 2 != 0 or t < 3:
-        raise ParameterError(f"needs even k >= 4 and t >= 3, got ({k}, {t})")
-    if s % (2 * t) != 0 or s < 2 * t:
-        raise ParameterError(f"needs s = 0 (mod 2t), got s={s}, t={t}")
-    host = blocks.cycle_times_complete_host(k, s)
-    if t % 2 == 1:
-        return _finish(host,
-                       blocks.ck_factorization_cycle_times_complete(k, s, t).decomposition.factors,
-                       "cycle_times_jump_rows")
-    factors = cycle_times_blocked(k, t, s // t)
-    return _finish(host, factors, "cycle_times_blocked")

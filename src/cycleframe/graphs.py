@@ -48,11 +48,6 @@ def edge_key(a: Vertex, b: Vertex) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def tensor_adjacent(a: Vertex, b: Vertex) -> bool:
-    """Adjacency rule of K_u x K_g: both coordinates must differ."""
-    return a[0] != b[0] and a[1] != b[1]
-
-
 @dataclass(frozen=True)
 class MultiGraph:
     """Uniform multipartite multigraph: num_parts parts of part_size slots."""
@@ -62,18 +57,12 @@ class MultiGraph:
     edges: dict[Edge, int]
     kind: str = "custom"
 
-    KINDS = ("tensor_complete", "lexicographic_blowup", "complete_simple",
-             "complete_doubled", "custom")
-
     def vertices(self) -> list[Vertex]:
         return [(p, s) for p in range(self.num_parts) for s in range(self.part_size)]
 
     def edge_count(self) -> int:
         """Total multiset size (parallel edges counted with multiplicity)."""
         return sum(self.edges.values())
-
-    def degree(self, v: Vertex) -> int:
-        return sum(m for e, m in self.edges.items() if v in e)
 
     def edge_multiset(self) -> Counter[Edge]:
         return Counter(self.edges)
@@ -129,15 +118,6 @@ def mcf_identity_check(u: int, g: int, lam: int = 1) -> bool:
     if any(m < 0 for m in remaining.values()):
         return False
     return remaining == Counter(tensor_complete(u, g, lam).edges)
-
-
-def distance_one_factor(part_a: int, part_b: int, i: int, t: int) -> tuple[Edge, ...]:
-    """F_i(A,B): the distance-i perfect matching {(A,j)(B,j+i mod t)}."""
-    if not 0 <= i < t:
-        raise ParameterError(f"distance {i} out of range for part size {t}")
-    if part_a == part_b:
-        raise ParameterError("distance factor needs two distinct parts")
-    return tuple(edge_key((part_a, j), (part_b, (j + i) % t)) for j in range(t))
 
 
 def canonical_cycle(vertices) -> Cycle:
@@ -239,22 +219,33 @@ def assemble_from_distances(part_cycle, dv, t: int) -> PartialFactor:
     return PartialFactor.build(lengths.pop(), None, cycles)
 
 
-def blow_up(factor: PartialFactor, s: int) -> MultiGraph:
-    """Lexicographic blow-up of a factor's cycle union by the empty graph K̄_s.
+def trace_two_regular(edges) -> list[Cycle]:
+    """Split a 2-regular simple edge list into its cycles.
 
-    Each original vertex becomes a part of size s (parts ordered by the
-    original vertex order); each edge becomes a complete K_{s,s} block.
+    Each cycle starts at its least vertex and steps to the smaller of that
+    vertex's two neighbours; cycles come out in order of their least vertex.
     """
-    if s < 1:
-        raise ParameterError("blow-up factor must be >= 1")
-    verts = sorted(factor.vertex_set())
-    index = {v: i for i, v in enumerate(verts)}
-    edges: dict[Edge, int] = {}
-    for c in factor.cycles:
-        for a, b in cycle_edges(c):
-            pa, pb = index[a], index[b]
-            for z1 in range(s):
-                for z2 in range(s):
-                    e = edge_key((pa, z1), (pb, z2))
-                    edges[e] = edges.get(e, 0) + 1
-    return MultiGraph(len(verts), s, edges, "lexicographic_blowup")
+    adj: dict[Vertex, list[Vertex]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for v, nb in adj.items():
+        if len(nb) != 2 or nb[0] == nb[1]:
+            raise DegenerateCycleError(f"vertex {v} is not simply 2-regular")
+    cycles = []
+    visited: set[Vertex] = set()
+    for start in sorted(adj):
+        if start in visited:
+            continue
+        cyc = [start]
+        visited.add(start)
+        prev, cur = start, min(adj[start])
+        while cur != start:
+            cyc.append(cur)
+            visited.add(cur)
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+        if len(cyc) < 3:
+            raise DegenerateCycleError("traced cycle shorter than 3")
+        cycles.append(tuple(cyc))
+    return cycles

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graphs import Edge, UnsupportedBlockError, Vertex, edge_key
+from .graphs import (DegenerateCycleError, Edge, UnsupportedBlockError, Vertex,
+                     edge_key, trace_two_regular)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -316,34 +317,16 @@ def decompose_into_factors(pool: Counter[Edge],
 
     def take_remainder(span: frozenset[Vertex], cycle_len: int) -> bool:
         """Final factor: the leftover edges must be exactly the factor."""
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in span}
-        for e, mult in work.items():
-            if mult == 0:
-                continue
-            a, c = e
-            if mult != 1 or a not in adj or c not in adj:
-                return False
-            adj[a].append(c)
-            adj[c].append(a)
-        cycles = []
-        visited: set[Vertex] = set()
-        for v, nb in adj.items():
-            if len(nb) != 2:
-                return False
-        for start in sorted(adj):
-            if start in visited:
-                continue
-            cyc = [start]
-            visited.add(start)
-            prev, cur = start, min(adj[start])
-            while cur != start:
-                cyc.append(cur)
-                visited.add(cur)
-                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                prev, cur = cur, nxt
-            if len(cyc) != cycle_len:
-                return False
-            cycles.append(tuple(cyc))
+        left = [e for e, mult in work.items() if mult]
+        if any(work[e] != 1 or e[0] not in span or e[1] not in span for e in left):
+            return False
+        try:
+            cycles = trace_two_regular(left)
+        except DegenerateCycleError:
+            return False
+        # 2-regular on span vertices: as many edges as span vertices covers it
+        if len(left) != len(span) or any(len(c) != cycle_len for c in cycles):
+            return False
         out.append(cycles)
         return True
 

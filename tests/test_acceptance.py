@@ -154,7 +154,7 @@ def test_criterion_7_block_unit_properties():
         assert sorted(f.missing for f in fs) == list(range(u))
         assert union == Counter({(i, j): 1 for i, j in itertools.combinations(range(u), 2)})
     for k in range(4, 13, 2):
-        dec = blocks.near_ck_factorization_kplus1_doubled(k).decomposition
+        dec = blocks.near_cycle_factorization_doubled(k, k + 1).decomposition
         union = Counter()
         for f in dec.factors:
             union.update(f.edge_multiset())

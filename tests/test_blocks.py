@@ -109,7 +109,7 @@ def test_kplus1_zigzag_matches_written_form():
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
 def test_near_ck_kplus1_double_cover(k):
-    result = blocks.near_ck_factorization_kplus1_doubled(k)
+    result = blocks.near_cycle_factorization_doubled(k, k + 1)
     dec = result.decomposition
     assert result.strategy == blocks.EXPLICIT
     assert len(dec.factors) == k + 1
@@ -126,7 +126,7 @@ def test_near_ck_kplus1_double_cover(k):
 
 @pytest.mark.parametrize("half_k,u", [(2, 5), (2, 9), (3, 7), (2, 13), (3, 13)])
 def test_near_c2k_factorization_u2(half_k, u):
-    result = blocks.near_c2k_factorization_u2(half_k, u)
+    result = blocks.near_cycle_factorization_doubled(2 * half_k, u)
     dec = result.decomposition
     assert len(dec.factors) == u
     for f in dec.factors:
@@ -137,21 +137,20 @@ def test_near_c2k_factorization_u2(half_k, u):
 
 def test_near_c2k_factorization_rejects_wrong_congruence():
     with pytest.raises(graphs.ParameterError):
-        blocks.near_c2k_factorization_u2(2, 7)
+        blocks.near_cycle_factorization_doubled(4, 7)
 
 
 def test_near_cm_triangles_of_k4():
-    result = blocks.near_cm_factorization_ms1_doubled(3, 1)
+    result = blocks.near_cycle_factorization_doubled(3, 4)
     dec = result.decomposition
     assert len(dec.factors) == 4
     for f in dec.factors:
         verts = {v for c in f.cycles for v in c}
         assert verts == {(v, 0) for v in range(4)} - {(f.hole, 0)}
-    assert blocks.near_cm_factorization_ms1_doubled(3, 0).decomposition.factors == ()
 
 
 def test_near_cm_search_case():
-    result = blocks.near_cm_factorization_ms1_doubled(5, 1)
+    result = blocks.near_cycle_factorization_doubled(5, 6)
     assert len(result.decomposition.factors) == 6
     assert result.strategy in (blocks.SEARCH, blocks.CACHED)
 
@@ -240,7 +239,7 @@ def test_hamilton_cycle_times_complete(m, n):
 
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (3, 3), (3, 2), (4, 8)])
 def test_hamilton_cycle_lex_empty(m, n):
-    dec = blocks.hamilton_decomp_cycle_lex_empty(m, n).decomposition
+    dec = blocks.lex_cycle_factorization(m, n).decomposition
     assert len(dec.factors) == n
     for f in dec.factors:
         assert f.cycle_length == m * n and len(f.cycles) == 1
@@ -288,6 +287,38 @@ def test_search_results_are_deterministic_and_cached(tmp_path, monkeypatch):
     assert first.decomposition.factors == second.decomposition.factors
     assert first.strategy == blocks.SEARCH
     assert second.strategy == blocks.CACHED
+
+
+def test_failed_hamilton_search_is_not_repeated(tmp_path, monkeypatch):
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    searches = []
+
+    def no_rows(*args, **kwargs):
+        raise graphs.UnsupportedBlockError("stubbed: no distance array")
+
+    def no_cover(pool, specs, budget=search.DEFAULT_BUDGET):
+        searches.append(specs)
+        raise graphs.UnsupportedBlockError("stubbed: search gave up")
+
+    monkeypatch.setattr(search, "distance_array", no_rows)
+    monkeypatch.setattr(search, "decompose_into_factors", no_cover)
+    with pytest.raises(graphs.UnsupportedBlockError):
+        blocks.hamilton_decomp_cycle_times_complete(5, 4)
+    assert len(searches) == 1
+
+
+def test_failed_cache_write_still_returns_the_block(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
+
+    def disk_full(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(blocks.os, "replace", disk_full)
+    result = blocks.near_cycle_factorization_doubled(4, 9)
+    assert result.strategy == blocks.SEARCH
+    assert check_partition(result.decomposition.host, result.decomposition.factors)
+    assert list(cache.glob("*.tmp")) == []
 
 
 def test_distance_array_columns_are_permutations():

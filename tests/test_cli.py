@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from cycleframe import cli, serialize
 from cycleframe.arcs import Params, build_arcs
 
@@ -138,3 +140,34 @@ def test_build_determinism_with_warm_cache(tmp_path):
     assert run(["build", "--lambda", "2", "--k", "4", "--u", "9", "--g", "2",
                 "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _swap_two_vertices(entry):
+    obj = json.loads(entry.read_text())
+    cycle = obj["factors"][0]["cycles"][0]
+    cycle[0], cycle[1] = cycle[1], cycle[0]
+    entry.write_text(json.dumps(obj))
+
+
+def _truncate(entry):
+    data = entry.read_bytes()
+    entry.write_bytes(data[:len(data) // 2])
+
+
+@pytest.mark.parametrize("cell,family,corrupt", [
+    ((2, 4, 9, 2), "near_cycle_ku2", _swap_two_vertices),
+    ((2, 4, 9, 2), "near_cycle_ku2", lambda entry: entry.write_text("[]")),
+    ((1, 4, 17, 3), "partial_one_factor", _truncate),
+], ids=["swapped-vertices", "empty-list", "truncated-matchings"])
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, monkeypatch, cell, family, corrupt):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
+    argv = ["build"] + [x for flag, v in zip(("--lambda", "--k", "--u", "--g"), cell)
+                        for x in (flag, str(v))]
+    assert run(argv + ["-o", str(tmp_path / "first.json")]) == 0
+    [entry] = cache.glob(f"{family}-*.json")
+    good = entry.read_bytes()
+    corrupt(entry)
+    assert run(argv + ["-o", str(tmp_path / "second.json")]) == 0
+    assert entry.read_bytes() == good
+    assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()

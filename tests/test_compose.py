@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from cycleframe import compose, graphs
+from cycleframe import blocks, compose, graphs
+from cycleframe.arcs import _abstract_cycle_route
 from cycleframe.verify import check_partition
 
 
@@ -84,16 +85,20 @@ def test_k3_times_kky_exceptional_family():
 
 @pytest.mark.parametrize("k,t,s,count", [(4, 3, 6, 5), (6, 3, 6, 5), (4, 4, 8, 7), (4, 3, 12, 11)])
 def test_cycle_times_s(k, t, s, count):
-    dec = compose.ckt_factorization_cycle_times_s(k, t, s)
-    assert len(dec.factors) == count
-    for f in dec.factors:
+    # C_{kt}-factorization of C_k x K_s as the split cases build it: jump
+    # rows for odd t, the blocked splitting for even t
+    factors = _abstract_cycle_route(k, s, t)
+    assert len(factors) == count
+    for f in factors:
         assert f.cycle_length == k * t
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(blocks.cycle_times_complete_host(k, s), factors)
 
 
 def test_cycle_times_s_rejects_bad_modulus():
     with pytest.raises(graphs.ParameterError):
-        compose.ckt_factorization_cycle_times_s(4, 3, 9)
+        blocks.ck_factorization_cycle_times_complete(4, 9, 2)  # 2 does not divide 9
+    with pytest.raises(graphs.ParameterError):
+        compose.cycle_times_blocked(4, 3, 3)  # odd block size
 
 
 def test_relabel_and_transpose_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleframe import graphs
+from cycleframe import blocks, graphs
 
 
 def brute_tensor_edges(u, g, lam):
@@ -40,8 +40,12 @@ def test_tensor_complete_degree_and_size_formulas():
     for u, g, lam in [(3, 2, 1), (5, 3, 2), (7, 4, 1)]:
         host = graphs.tensor_complete(u, g, lam)
         assert host.edge_count() == lam * u * (u - 1) * (g * g - g) // 2
-        for v in host.vertices():
-            assert host.degree(v) == lam * (u - 1) * (g - 1)
+        degree = Counter()
+        for (a, b), mult in host.edges.items():
+            degree[a] += mult
+            degree[b] += mult
+        assert set(degree) == set(host.vertices())
+        assert set(degree.values()) == {lam * (u - 1) * (g - 1)}
 
 
 def test_tensor_complete_rejects_bad_parameters():
@@ -57,25 +61,27 @@ def test_mcf_identity_exhaustive_sweep():
                 assert graphs.mcf_identity_check(u, g, lam), (u, g, lam)
 
 
+def distance_matchings(t):
+    """The t matchings of K_3 (x) K̄_t missing part 2: the distance-i
+    matchings {(0,j)(1,j+i mod t)} between parts 0 and 1, in order of i."""
+    return [f.edges for f in blocks.partial_one_factorization_multipartite(3, t)
+            if f.missing == 2]
+
+
 def test_distance_one_factor_definition():
-    assert graphs.distance_one_factor(0, 1, 0, 3) == (
-        ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2)))
-    f1 = graphs.distance_one_factor(0, 1, 1, 3)
-    assert set(f1) == {((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))}
+    d0, d1, _ = distance_matchings(3)
+    assert d0 == (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2)))
+    assert set(d1) == {((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))}
 
 
 def test_distance_factors_partition_ktt():
     for t in range(2, 8):
-        factors = [set(graphs.distance_one_factor(0, 1, i, t)) for i in range(t)]
+        factors = [set(f) for f in distance_matchings(t)]
+        assert len(factors) == t
         for a, b in itertools.combinations(factors, 2):
             assert not a & b
         assert sum(len(f) for f in factors) == t * t
         assert len(set().union(*factors)) == t * t
-
-
-def test_distance_one_factor_rejects_bad_distance():
-    with pytest.raises(graphs.ParameterError):
-        graphs.distance_one_factor(0, 1, 3, 3)
 
 
 def trace_lengths(part_cycle, dv, t):
@@ -154,16 +160,22 @@ def test_canonical_cycle_fixed_under_rotation_and_reflection():
 
 
 def test_blow_up_examples():
-    c4 = graphs.PartialFactor.build(4, None, [((0, 0), (1, 0), (2, 0), (3, 0))])
-    same = graphs.blow_up(c4, 1)
-    assert same.edge_count() == 4
-    doubled = graphs.blow_up(c4, 2)
+    # C_m (x) K̄_n: every part of the cycle blown up to n slots
+    assert blocks.cycle_lex_host(4, 1).edge_count() == 4
+    doubled = blocks.cycle_lex_host(4, 2)
     assert doubled.num_parts == 4 and doubled.part_size == 2
     assert doubled.edge_count() == 16
-    c3 = graphs.PartialFactor.build(3, None, [((0, 0), (1, 0), (2, 0))])
-    kkk = graphs.blow_up(c3, 5)
+    kkk = blocks.cycle_lex_host(3, 5)
     # triangle blow-up is the complete tripartite graph
     assert Counter(kkk.edges) == Counter(graphs.multipartite_complete(3, 5, 1).edges)
+
+
+def test_trace_two_regular_starts_each_cycle_at_its_least_vertex():
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    triangle = [(7, 9), (9, 8), (8, 7)]
+    assert graphs.trace_two_regular(triangle + square) == [(0, 1, 2, 3), (7, 8, 9)]
+    with pytest.raises(graphs.DegenerateCycleError):
+        graphs.trace_two_regular([(0, 1), (1, 2)])
 
 
 def test_partial_factor_edges_and_span():
