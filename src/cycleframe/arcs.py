@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import blocks, compose
-from .graphs import (ConstructionBugError, Decomposition, ParameterError,
-                     PartialFactor, tensor_complete)
+from .graphs import ConstructionBugError, Decomposition, ParameterError, PartialFactor
 from .verify import verify_arcs
 
 FEASIBLE = "feasible"
@@ -559,8 +558,7 @@ def build_arcs(p: Params, verify: bool = True) -> Decomposition:
     for tag, batch in batches:
         factors.extend(batch)
         provenance.extend(f"case {tag}" for _ in batch)
-    host = tensor_complete(u, g, lam)
-    dec = Decomposition(host, tuple(factors), tuple(provenance))
+    dec = Decomposition(tuple(factors), tuple(provenance))
     if verify:
         result = verify_arcs(dec, p)
         if not result:

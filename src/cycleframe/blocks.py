@@ -84,7 +84,7 @@ def _cached(family: str, params: tuple, load, fresh, dump):
 
 
 def _finish(host: MultiGraph, factors, strategy: str, tag: str) -> BlockResult:
-    dec = Decomposition(host, tuple(factors), tuple(tag for _ in factors))
+    dec = Decomposition(tuple(factors), tuple(tag for _ in factors))
     result = check_partition(host, dec.factors)
     if not result:
         raise ConstructionBugError(f"block {tag} failed verification: {result.reason} {result.path}")
@@ -413,14 +413,8 @@ def ck_factorization_bipartite(m: int, n: int, kk: int) -> BlockResult:
 
 
 def cycle_times_complete_host(kk: int, m: int) -> MultiGraph:
-    edges = {}
-    for p in range(kk):
-        q = (p + 1) % kk
-        lo, hi = min(p, q), max(p, q)
-        for s1 in range(m):
-            for s2 in range(m):
-                if s1 != s2:
-                    edges[edge_key((lo, s1), (hi, s2))] = edges.get(edge_key((lo, s1), (hi, s2)), 0) + 1
+    """C_kk x K_m: the ring blow-up without its slot-aligned pairs."""
+    edges = {e: c for e, c in cycle_lex_host(kk, m).edges.items() if e[0][1] != e[1][1]}
     # kk == 2 would double the single part pair; callers keep kk >= 3.
     return MultiGraph(kk, m, edges, "custom")
 

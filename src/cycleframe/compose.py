@@ -21,7 +21,7 @@ from .verify import check_partition
 
 
 def _finish(host: MultiGraph, factors, tag: str) -> Decomposition:
-    dec = Decomposition(host, tuple(factors), tuple(tag for _ in factors))
+    dec = Decomposition(tuple(factors), tuple(tag for _ in factors))
     result = check_partition(host, dec.factors)
     if not result:
         raise ConstructionBugError(f"{tag} failed verification: {result.reason} {result.path}")

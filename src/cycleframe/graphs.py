@@ -64,9 +64,6 @@ class MultiGraph:
         """Total multiset size (parallel edges counted with multiplicity)."""
         return sum(self.edges.values())
 
-    def edge_multiset(self) -> Counter[Edge]:
-        return Counter(self.edges)
-
 
 def tensor_complete(u: int, g: int, lam: int) -> MultiGraph:
     """(K_u x K_g)(lam): u parts of size g, edges where part and slot differ."""
@@ -121,17 +118,16 @@ def mcf_identity_check(u: int, g: int, lam: int = 1) -> bool:
 
 
 def canonical_cycle(vertices) -> Cycle:
-    """Least rotation over both traversal directions; fixes a unique form."""
+    """Least rotation over both traversal directions; fixes a unique form.
+
+    On distinct vertices it starts at the least vertex, in either direction.
+    """
     vs = tuple(vertices)
-    n = len(vs)
-    best: Cycle | None = None
-    for seq in (vs, vs[::-1]):
-        for r in range(n):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
-    return best
+    if not vs:
+        raise ParameterError("empty cycle")
+    i = vs.index(min(vs))
+    f = vs[i:] + vs[:i]
+    return min(f, f[:1] + f[:0:-1])
 
 
 def cycle_edges(cycle: Cycle) -> list[Edge]:
@@ -168,21 +164,14 @@ class PartialFactor:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Factors claimed to partition the host edge multiset exactly."""
+    """Factors claimed to partition a host edge multiset exactly."""
 
-    host: MultiGraph
     factors: tuple[PartialFactor, ...]
     provenance: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.provenance and len(self.provenance) != len(self.factors):
             raise ParameterError("provenance must carry one tag per factor")
-
-    def edge_multiset(self) -> Counter[Edge]:
-        out: Counter[Edge] = Counter()
-        for f in self.factors:
-            out.update(f.edge_multiset())
-        return out
 
 
 def assemble_from_distances(part_cycle, dv, t: int) -> PartialFactor:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .graphs import Decomposition, MultiGraph, ParameterError, PartialFactor, tensor_complete
+from .graphs import Decomposition, MultiGraph, PartialFactor
 
 
 def factor_to_obj(factor: PartialFactor) -> dict[str, Any]:
@@ -47,10 +47,7 @@ def decomposition_from_obj(obj: dict[str, Any]):
     params = Params(int(raw["lambda"]), int(raw["k"]), int(raw["u"]), int(raw["g"]))
     factors = tuple(factor_from_obj(f, params.k) for f in obj["factors"])
     provenance = tuple(str(t) for t in obj.get("provenance", ()))
-    if provenance and len(provenance) != len(factors):
-        raise ParameterError("provenance length does not match factor count")
-    host = tensor_complete(params.u, params.g, params.lam)
-    return params, Decomposition(host, factors, provenance)
+    return params, Decomposition(factors, provenance)
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

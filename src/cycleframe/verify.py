@@ -1,8 +1,9 @@
 """Construction-agnostic verification of claimed decompositions.
 
-Nothing here consults provenance or trusts the builders: hosts are rebuilt
-from parameters, adjacency is re-derived from the product definition, and
-edge accounting is exact multiset equality.
+Nothing here consults provenance or trusts the builders: adjacency is
+re-derived from the product definition, and edge accounting is exact: no
+edge is claimed more often than the host holds it, and the claimed edges sum
+to the host's total.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 from . import search
 from .graphs import (Decomposition, Edge, MultiGraph, PartialFactor,
-                     UnsupportedBlockError, Vertex, cycle_edges,
-                     tensor_complete)
+                     UnsupportedBlockError, Vertex, tensor_complete)
 
 
 @dataclass(frozen=True)
@@ -33,87 +33,82 @@ class Result:
 OK = Result(True)
 
 
-def verify_partial_factor(factor: PartialFactor, host: MultiGraph, k: int) -> Result:
-    """Cycles of length k, disjoint, on host edges, spanning all but the hole."""
-    seen: set[Vertex] = set()
-    for ci, cyc in enumerate(factor.cycles):
-        if len(cyc) != k:
-            return Result.failure("cycle length mismatch", factor_cycle=ci,
-                                  expected=k, actual=len(cyc))
-        if len(set(cyc)) != len(cyc):
-            return Result.failure("repeated vertex in cycle", factor_cycle=ci)
-        for v in cyc:
-            if v in seen:
-                return Result.failure("cycles share a vertex", factor_cycle=ci, vertex=v)
-            if not (0 <= v[0] < host.num_parts and 0 <= v[1] < host.part_size):
-                return Result.failure("vertex outside host", factor_cycle=ci, vertex=v)
-        seen.update(cyc)
-        for e in cycle_edges(cyc):
-            if e not in host.edges:
-                return Result.failure("edge not in host", factor_cycle=ci, edge=e)
-    expected = {(p, s) for p in range(host.num_parts) for s in range(host.part_size)
-                if p != factor.hole}
-    if seen != expected:
-        missing = sorted(expected - seen)[:3]
-        extra = sorted(seen - expected)[:3]
-        return Result.failure("span mismatch", missing=missing, extra=extra)
+def _cover(factors, num_parts: int, part_size: int, k: int | None,
+           multiplicity, total: int) -> Result:
+    """Walk every cycle once: is the claimed edge multiset exactly the host's?
+
+    Each factor must be vertex-disjoint k-cycles (k None: the factor's own
+    cycle length) spanning the host vertices outside its hole.  No edge may
+    be used more often than `multiplicity(edge)`, so the claimed edges
+    summing to the host's `total` means every edge is covered exactly.
+    """
+    used: dict[Edge, int] = {}
+    for fi, factor in enumerate(factors):
+        length = factor.cycle_length if k is None else k
+        seen: dict[Vertex, int] = {}
+        for ci, cyc in enumerate(factor.cycles):
+            if len(cyc) != length:
+                return Result.failure("cycle length mismatch", factor=fi, factor_cycle=ci,
+                                      expected=length, actual=len(cyc))
+            for v in cyc:
+                if v in seen:
+                    reason = "repeated vertex in cycle" if seen[v] == ci else "cycles share a vertex"
+                    return Result.failure(reason, factor=fi, factor_cycle=ci, vertex=v)
+                if not (0 <= v[0] < num_parts and 0 <= v[1] < part_size) or v[0] == factor.hole:
+                    return Result.failure("span mismatch", factor=fi, factor_cycle=ci, vertex=v)
+                seen[v] = ci
+            prev = cyc[-1]
+            for v in cyc:
+                e = (prev, v) if prev < v else (v, prev)
+                n = used.get(e, 0) + 1
+                if n > multiplicity(e):
+                    reason = "edge over-covered" if n > 1 else "edge not in host"
+                    return Result.failure(reason, factor=fi, factor_cycle=ci, edge=e, claimed=n)
+                used[e] = n
+                prev = v
+        span = (num_parts - (factor.hole is not None)) * part_size
+        if len(seen) != span:
+            return Result.failure("span mismatch", factor=fi, expected=span, actual=len(seen))
+    claimed = sum(used.values())
+    if claimed != total:
+        return Result.failure("edge under-covered", claimed=claimed, expected=total)
     return OK
 
 
 def check_partition(host: MultiGraph, factors) -> Result:
     """Exact multiset partition check plus per-factor structural validity."""
-    total: Counter[Edge] = Counter()
-    for fi, factor in enumerate(factors):
-        r = verify_partial_factor(factor, host, factor.cycle_length)
-        if not r:
-            return Result(False, r.reason, {"factor": fi, **r.path})
-        total.update(factor.edge_multiset())
-    return _compare_multisets(total, Counter(host.edges))
-
-
-def _compare_multisets(claimed: Counter[Edge], expected: Counter[Edge]) -> Result:
-    for e in sorted(set(claimed) | set(expected)):
-        c, x = claimed.get(e, 0), expected.get(e, 0)
-        if c > x:
-            return Result.failure("edge over-covered", edge=e, claimed=c, expected=x)
-        if c < x:
-            return Result.failure("edge under-covered", edge=e, claimed=c, expected=x)
-    return OK
+    return _cover(factors, host.num_parts, host.part_size, None,
+                  lambda e: host.edges.get(e, 0), host.edge_count())
 
 
 def verify_arcs(dec: Decomposition, params) -> Result:
     """Is `dec` exactly a k-ARCS of (K_u x K_g)(lambda)?
 
-    Checks, in order: every factor is a partial C_k-factor (hole present,
-    k-cycles, tensor edges only), the factor edges sum to the host multiset
-    exactly, the factor count matches lambda*u*(g-1)/2, and every part is the
-    hole of exactly lambda*(g-1)/2 factors.
+    Checks, in order: u, g >= 2, the factor count is lambda*u*(g-1)/2, every
+    part is the hole of exactly lambda*(g-1)/2 factors, and the factors are
+    partial C_k-factors covering the host exactly.  The host is never built:
+    an edge has multiplicity lambda when its parts and its slots differ.
     """
     lam, k, u, g = params.lam, params.k, params.u, params.g
-    host = tensor_complete(u, g, lam)
-    total: Counter[Edge] = Counter()
-    hole_counts: Counter[int] = Counter()
-    for fi, factor in enumerate(dec.factors):
-        if factor.hole is None or not (0 <= factor.hole < u):
-            return Result.failure("factor missing a valid hole", factor=fi)
-        r = verify_partial_factor(factor, host, k)
-        if not r:
-            return Result(False, r.reason, {"factor": fi, **r.path})
-        hole_counts[factor.hole] += 1
-        total.update(factor.edge_multiset())
-    r = _compare_multisets(total, Counter(host.edges))
-    if not r:
-        return r
+    if u < 2 or g < 2:
+        return Result.failure("host needs u >= 2 and g >= 2", u=u, g=g)
     want_total = lam * u * (g - 1) // 2
     if len(dec.factors) != want_total:
         return Result.failure("factor count mismatch",
                               expected=want_total, actual=len(dec.factors))
+    hole_counts: Counter[int] = Counter()
+    for fi, factor in enumerate(dec.factors):
+        if factor.hole is None or not (0 <= factor.hole < u):
+            return Result.failure("factor missing a valid hole", factor=fi)
+        hole_counts[factor.hole] += 1
     want_per_hole = lam * (g - 1) // 2
     for p in range(u):
         if hole_counts[p] != want_per_hole:
             return Result.failure("per-hole count mismatch", part=p,
                                   expected=want_per_hole, actual=hole_counts[p])
-    return OK
+    return _cover(dec.factors, u, g, k,
+                  lambda e: lam if e[0][0] != e[1][0] and e[0][1] != e[1][1] else 0,
+                  lam * u * (u - 1) * g * (g - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def brute_force_arcs(params, budget: int = search.DEFAULT_BUDGET) -> BruteForceO
     for (span, _), cycles in zip(specs, raw):
         hole = next(p for p in range(u) if (p, 0) not in span)
         factors.append(PartialFactor.build(k, hole, cycles))
-    dec = Decomposition(host, tuple(factors), tuple("exact_cover" for _ in factors))
+    dec = Decomposition(tuple(factors), tuple("exact_cover" for _ in factors))
     check = verify_arcs(dec, params)
     if not check:
         raise AssertionError(f"brute force produced an invalid decomposition: {check}")

@@ -118,7 +118,7 @@ def _single_edit(dec, p, rng):
     else:
         hole = (f.hole + 1 + rng.randrange(p.u - 1)) % p.u
         factors[fi] = PartialFactor(f.cycle_length, hole, f.cycles)
-    return Decomposition(dec.host, tuple(factors), dec.provenance)
+    return Decomposition(tuple(factors), dec.provenance)
 
 
 def test_criterion_5_verifier_soundness(built):

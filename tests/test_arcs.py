@@ -10,7 +10,6 @@ from cycleframe.arcs import (ArcsUnavailable, Params, _splits,
                              build_case_primesplit_l2, build_case_u1modk_l2,
                              build_case_u4x, build_case_uodd_g0modk_l2,
                              check_feasibility, expected_counts)
-from cycleframe.graphs import tensor_complete
 from cycleframe.verify import verify_arcs
 
 
@@ -90,8 +89,7 @@ def test_prime_splits():
 
 
 def assert_valid(p, factors):
-    host = tensor_complete(p.u, p.g, p.lam)
-    dec = graphs.Decomposition(host, tuple(factors), tuple("t" for _ in factors))
+    dec = graphs.Decomposition(tuple(factors), tuple("t" for _ in factors))
     result = verify_arcs(dec, p)
     assert result, (result.reason, result.path)
 

@@ -13,6 +13,13 @@ def all_pairs(n):
     return Counter({(i, j): 1 for i, j in itertools.combinations(range(n), 2)})
 
 
+def cubic_times_k3_host(k, cubic):
+    """G x K_3 for a cubic G on 0..k-1, from the adjacency rule."""
+    edges = {graphs.edge_key((a, s1), (b, s2)): 1
+             for a, b in cubic for s1 in range(3) for s2 in range(3) if s1 != s2}
+    return graphs.MultiGraph(k, 3, edges)
+
+
 # ---------------------------------------------------------------------------
 # 1-factorizations
 
@@ -132,7 +139,7 @@ def test_near_c2k_factorization_u2(half_k, u):
     for f in dec.factors:
         assert f.cycle_length == 2 * half_k
         assert len(f.cycles) == (u - 1) // (2 * half_k)
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(graphs.complete_graph(u, 2), dec.factors)
 
 
 def test_near_c2k_factorization_rejects_wrong_congruence():
@@ -185,7 +192,7 @@ def test_cs_factorization_complete_odd(s, g):
     assert len(dec.factors) == (g - 1) // 2
     for f in dec.factors:
         assert f.cycle_length == s and len(f.cycles) == g // s
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(graphs.complete_graph(g, 1), dec.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +215,7 @@ def test_bipartite_partition(n, kk):
     assert len(dec.factors) == n // 2
     for f in dec.factors:
         assert f.cycle_length == kk and len(f.cycles) == 2 * n // kk
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(blocks.bipartite_host(n), dec.factors)
 
 
 def test_cycle_times_complete_jump_rows():
@@ -228,13 +235,24 @@ def test_cycle_times_complete_examples():
         blocks.ck_factorization_cycle_times_complete(3, 2)  # odd cycle boundary
 
 
+def test_cycle_times_complete_host_is_the_ring_tensor_product():
+    for kk in range(3, 7):
+        for m in range(2, 6):
+            ring = {frozenset((p, (p + 1) % kk)) for p in range(kk)}
+            want = {graphs.edge_key((p, s1), (q, s2)): 1
+                    for p, q in map(sorted, ring) for s1 in range(m) for s2 in range(m)
+                    if s1 != s2}
+            host = blocks.cycle_times_complete_host(kk, m)
+            assert host.edges == want and host.kind == "custom"
+
+
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (4, 4), (3, 4)])
 def test_hamilton_cycle_times_complete(m, n):
     dec = blocks.hamilton_decomp_cycle_times_complete(m, n).decomposition
     assert len(dec.factors) == n - 1
     for f in dec.factors:
         assert f.cycle_length == m * n and len(f.cycles) == 1
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(blocks.cycle_times_complete_host(m, n), dec.factors)
 
 
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (3, 3), (3, 2), (4, 8)])
@@ -243,17 +261,18 @@ def test_hamilton_cycle_lex_empty(m, n):
     assert len(dec.factors) == n
     for f in dec.factors:
         assert f.cycle_length == m * n and len(f.cycles) == 1
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(blocks.cycle_lex_host(m, n), dec.factors)
 
 
 @pytest.mark.parametrize("t", [3, 4, 6, 8, 12])
 def test_tripartite_factorization(t):
     dec = blocks.ct_factorization_tripartite(t).decomposition
     assert len(dec.factors) == t
-    assert dec.host.edge_count() == 3 * t * t
+    host = graphs.multipartite_complete(3, t, 1)
+    assert host.edge_count() == 3 * t * t
     for f in dec.factors:
         assert f.cycle_length == t and len(f.cycles) == 3
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(host, dec.factors)
 
 
 def test_tripartite_rejects_degenerate():
@@ -268,7 +287,7 @@ def test_cubic_times_k3(k):
     assert len(dec.factors) == 3
     for f in dec.factors:
         assert f.cycle_length == k and len(f.cycles) == 3
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(cubic_times_k3_host(k, cubic), dec.factors)
 
 
 def test_cubic_times_k3_exceptional_pair():
@@ -317,7 +336,7 @@ def test_failed_cache_write_still_returns_the_block(tmp_path, monkeypatch):
     monkeypatch.setattr(blocks.os, "replace", disk_full)
     result = blocks.near_cycle_factorization_doubled(4, 9)
     assert result.strategy == blocks.SEARCH
-    assert check_partition(result.decomposition.host, result.decomposition.factors)
+    assert check_partition(graphs.complete_graph(9, 2), result.decomposition.factors)
     assert list(cache.glob("*.tmp")) == []
 
 

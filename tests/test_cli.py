@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -50,6 +51,33 @@ def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{ not json")
     assert run(["verify", str(mangled)]) == 1
+
+
+def _claim(tmp_path, lam, k, u, g, factors):
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps({"params": {"lambda": lam, "k": k, "u": u, "g": g},
+                                "factors": factors}))
+    return str(path)
+
+
+def test_verify_rejects_oversized_declaration_quickly(tmp_path, capsys):
+    # the host would have about 5e19 edges; the factor count alone decides
+    path = _claim(tmp_path, 2, 4, 100_000, 100_000, [])
+    started = time.perf_counter()
+    assert run(["verify", path]) == 6
+    assert time.perf_counter() - started < 1.0
+    assert "factor count mismatch" in capsys.readouterr().err
+
+
+def test_verify_empty_cycle_is_unreadable(tmp_path, capsys):
+    assert run(["verify", _claim(tmp_path, 2, 4, 5, 2, [{"hole": 0, "cycles": [[]]}])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read decomposition") and "Traceback" not in err
+
+
+def test_verify_single_slot_declaration_fails_verification(tmp_path, capsys):
+    assert run(["verify", _claim(tmp_path, 2, 4, 5, 1, [])]) == 6
+    assert "u >= 2 and g >= 2" in capsys.readouterr().err
 
 
 def test_json_roundtrip_identity(tmp_path):

@@ -26,7 +26,9 @@ def test_partial_ck_kplus1_times_t(k, t):
 def test_partial_ck_kplus1_times_t_counts_small():
     dec = compose.partial_ck_factorization_kplus1_times_t(4, 3)
     assert len(dec.factors) == 5
-    assert dec.host.edge_count() == 60
+    host = graphs.tensor_complete(5, 3, 1)
+    assert host.edge_count() == 60
+    assert check_partition(host, dec.factors)
     assert all(sum(len(c) for c in f.cycles) == 12 for f in dec.factors)
 
 
@@ -45,7 +47,7 @@ def test_cycle_times_t_is_hamilton_decomposition(k, t):
         assert f.cycle_length == k * t
         assert len(f.cycles) == 1
         assert len(f.cycles[0]) == k * t
-    assert check_partition(dec.host, dec.factors)
+    assert check_partition(blocks.cycle_times_complete_host(k, t), dec.factors)
 
 
 @pytest.mark.parametrize("k,t", [(4, 3), (6, 3), (4, 5), (8, 3)])

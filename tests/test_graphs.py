@@ -159,6 +159,21 @@ def test_canonical_cycle_fixed_under_rotation_and_reflection():
         assert graphs.canonical_cycle(rotated[::-1]) == canon
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=3, max_size=24,
+                unique=True))
+def test_canonical_cycle_is_least_rotation_or_reflection(vs):
+    """Reference: the minimum over all 2k rotations of both directions."""
+    both = (tuple(vs), tuple(vs[::-1]))
+    least = min(seq[r:] + seq[:r] for seq in both for r in range(len(vs)))
+    assert graphs.canonical_cycle(vs) == least
+
+
+def test_canonical_cycle_rejects_empty_cycle():
+    with pytest.raises(graphs.ParameterError):
+        graphs.canonical_cycle([])
+
+
 def test_blow_up_examples():
     # C_m (x) K̄_n: every part of the cycle blown up to n slots
     assert blocks.cycle_lex_host(4, 1).edge_count() == 4

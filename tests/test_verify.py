@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from cycleframe import graphs
 from cycleframe.arcs import Params, build_arcs, expected_counts
 from cycleframe.graphs import PartialFactor, Decomposition, tensor_complete
-from cycleframe.verify import brute_force_arcs, verify_arcs, verify_partial_factor
+from cycleframe.verify import brute_force_arcs, check_partition, verify_arcs
 
 
 def test_partial_factor_rejects_nonadjacent_edge():
     host = tensor_complete(3, 2, 1)
     # ((2,0),(1,0)) has equal slots: not a tensor edge
     factor = PartialFactor.build(4, None, [((0, 0), (1, 1), (2, 0), (1, 0))])
-    result = verify_partial_factor(factor, host, 4)
+    result = check_partition(host, [factor])
     assert not result
     assert result.reason in ("edge not in host", "repeated vertex in cycle",
                             "cycles share a vertex")
@@ -22,15 +24,14 @@ def test_partial_factor_rejects_nonadjacent_edge():
 def test_partial_factor_rejects_empty_span():
     host = tensor_complete(3, 2, 1)
     factor = PartialFactor.build(4, 0, [])
-    result = verify_partial_factor(factor, host, 4)
+    result = check_partition(host, [factor])
     assert not result and result.reason == "span mismatch"
 
 
 def test_partial_factor_accepts_construction_output():
     from cycleframe import compose
     dec = compose.partial_ck_factorization_kplus1_times_t(4, 3)
-    for f in dec.factors:
-        assert verify_partial_factor(f, dec.host, 4)
+    assert check_partition(tensor_complete(5, 3, 1), dec.factors)
 
 
 def test_verify_arcs_on_built_instance():
@@ -53,13 +54,13 @@ def test_verify_arcs_catches_swapped_edge():
     f0, f1 = factors[0], factors[1]
     factors[0] = PartialFactor.build(4, f0.hole, f0.cycles[1:])
     factors[1] = PartialFactor.build(4, f1.hole, list(f1.cycles) + [f0.cycles[0]])
-    broken = Decomposition(dec.host, tuple(factors), dec.provenance)
+    broken = Decomposition(tuple(factors), dec.provenance)
     assert not verify_arcs(broken, p)
 
 
 def test_verify_arcs_empty_decomposition():
     p = Params(2, 4, 5, 2)
-    result = verify_arcs(Decomposition(tensor_complete(5, 2, 2), (), ()), p)
+    result = verify_arcs(Decomposition((), ()), p)
     assert not result
 
 
@@ -75,7 +76,7 @@ def _mutate(dec, p, rng):
     elif op == "relabel_hole":
         hole = (f.hole + 1 + rng.randrange(p.u - 1)) % p.u
         factors[fi] = PartialFactor(f.cycle_length, hole, f.cycles)
-        return Decomposition(dec.host, tuple(factors), dec.provenance)
+        return Decomposition(tuple(factors), dec.provenance)
     elif op == "swap_vertex":
         ci = rng.randrange(len(cycles))
         cyc = list(cycles[ci])
@@ -86,7 +87,7 @@ def _mutate(dec, p, rng):
     else:
         cycles.append(cycles[rng.randrange(len(cycles))])
     factors[fi] = PartialFactor(f.cycle_length, f.hole, tuple(cycles))
-    return Decomposition(dec.host, tuple(factors), dec.provenance)
+    return Decomposition(tuple(factors), dec.provenance)
 
 
 @pytest.mark.parametrize("tup", [(2, 4, 5, 2), (2, 4, 5, 3)])
@@ -101,11 +102,120 @@ def test_verifier_catches_random_mutations(tup):
 def test_verify_never_consults_provenance():
     p = Params(2, 4, 5, 2)
     dec = build_arcs(p)
-    stripped = Decomposition(dec.host, dec.factors, ())
+    stripped = Decomposition(dec.factors, ())
     assert verify_arcs(stripped, p)
-    retagged = Decomposition(dec.host, dec.factors,
+    retagged = Decomposition(dec.factors,
                              tuple("nonsense" for _ in dec.factors))
     assert verify_arcs(retagged, p)
+
+
+def reference_verdict(dec, p) -> bool:
+    """Slow reference verifier: builds the host and compares exact Counters."""
+    host = tensor_complete(p.u, p.g, p.lam)
+    total = Counter()
+    for f in dec.factors:
+        verts = [v for c in f.cycles for v in c]
+        if (f.hole is None or any(len(c) != p.k for c in f.cycles)
+                or len(verts) != len(set(verts))
+                or set(verts) != {v for v in host.vertices() if v[0] != f.hole}):
+            return False
+        total.update(f.edge_multiset())
+    holes = Counter(f.hole for f in dec.factors)
+    return (total == Counter(host.edges)
+            and len(dec.factors) == p.lam * p.u * (p.g - 1) // 2
+            and all(holes[x] == p.lam * (p.g - 1) // 2 for x in range(p.u)))
+
+
+def _edit(dec, p, rng):
+    """One seeded single edit: delete, duplicate or move a cycle, tweak one
+    vertex's slot, or relabel one hole."""
+    factors = list(dec.factors)
+    fi = rng.randrange(len(factors))
+    f = factors[fi]
+    cycles = list(f.cycles)
+    ci = rng.randrange(len(cycles))
+    hole = f.hole
+    op = rng.choice(("delete", "duplicate", "move", "tweak", "relabel-hole"))
+    if op == "delete":
+        del cycles[ci]
+    elif op == "duplicate":
+        cycles.append(cycles[ci])
+    elif op == "move":
+        fj = (fi + 1 + rng.randrange(len(factors) - 1)) % len(factors)
+        h = factors[fj]
+        factors[fj] = PartialFactor(h.cycle_length, h.hole, h.cycles + (cycles.pop(ci),))
+    elif op == "tweak":
+        cyc = list(cycles[ci])
+        vi = rng.randrange(len(cyc))
+        part, slot = cyc[vi]
+        cyc[vi] = (part, (slot + 1 + rng.randrange(p.g - 1)) % p.g)
+        cycles[ci] = tuple(cyc)
+    else:
+        hole = (f.hole + 1 + rng.randrange(p.u - 1)) % p.u
+    factors[fi] = PartialFactor(f.cycle_length, hole, tuple(cycles))
+    return Decomposition(tuple(factors), dec.provenance)
+
+
+@pytest.mark.parametrize("tup", [(2, 4, 5, 2), (2, 4, 5, 3), (1, 4, 5, 3)])
+def test_verify_arcs_agrees_with_reference_verifier(tup):
+    p = Params(*tup)
+    dec = build_arcs(p)
+    assert reference_verdict(dec, p) and verify_arcs(dec, p)
+    rng = random.Random(4)
+    for _ in range(300):
+        edited = _edit(dec, p, rng)
+        assert bool(verify_arcs(edited, p)) == reference_verdict(edited, p)
+
+
+def _with_factor(dec, fi, factor):
+    factors = list(dec.factors)
+    factors[fi] = factor
+    return Decomposition(tuple(factors), dec.provenance)
+
+
+def test_verify_arcs_names_each_fault():
+    p = Params(2, 4, 5, 2)
+    dec = build_arcs(p)
+    f = dec.factors[0]
+
+    def reason(factor):
+        return verify_arcs(_with_factor(dec, 0, factor), p).reason
+
+    # g = 2: a 4-cycle alternates slots, so its opposite corners share a slot
+    a, b, c, d = f.cycles[0]
+    assert reason(PartialFactor(4, f.hole, ((a, c, b, d),) + f.cycles[1:])) == "edge not in host"
+    p1, p2, p3, p4 = sorted({v[0] for v in f.vertex_set()})
+    same_part = (((p1, 0), (p1, 1), (p2, 0), (p2, 1)), ((p3, 0), (p3, 1), (p4, 0), (p4, 1)))
+    assert reason(PartialFactor(4, f.hole, same_part)) == "edge not in host"
+    assert reason(PartialFactor(4, f.hole, f.cycles[1:])) == "span mismatch"
+    beyond = ((a[0], a[1] + p.g), b, c, d)  # same edge count, one vertex off the host
+    assert reason(PartialFactor(4, f.hole, (beyond,) + f.cycles[1:])) == "span mismatch"
+    assert reason(PartialFactor(4, (f.hole + 1) % p.u, f.cycles)) == "per-hole count mismatch"
+    # swapped holes keep hole counts, span sizes and edges; only the spans move
+    g = dec.factors[1]
+    swapped = _with_factor(_with_factor(dec, 0, PartialFactor(4, g.hole, f.cycles)),
+                           1, PartialFactor(4, f.hole, g.cycles))
+    assert g.hole != f.hole and not reference_verdict(swapped, p)
+    assert verify_arcs(swapped, p).reason == "span mismatch"
+    assert verify_arcs(dec, Params(2, 8, 5, 2)).reason == "cycle length mismatch"
+    p = Params(2, 4, 5, 3)
+    dec = build_arcs(p)
+    fi, fj = (i for i, f in enumerate(dec.factors) if f.hole == dec.factors[0].hole)
+    twice = _with_factor(dec, fj, dec.factors[fi])
+    assert verify_arcs(twice, p).reason == "edge over-covered"
+
+
+def test_check_partition_names_each_fault():
+    from cycleframe import compose
+    dec = compose.partial_ck_factorization_kplus1_times_t(4, 3)
+    assert check_partition(tensor_complete(5, 3, 1), dec.factors[:-1]).reason == "edge under-covered"
+    # each of these covers the edges of K_3(2) exactly, but not with cycles
+    host = graphs.complete_graph(3, 2)
+    x, y, z = host.vertices()
+    walk = PartialFactor(6, None, ((x, y, z, x, y, z),))
+    assert check_partition(host, [walk]).reason == "repeated vertex in cycle"
+    twice = PartialFactor(3, None, ((x, y, z), (x, y, z)))
+    assert check_partition(host, [twice]).reason == "cycles share a vertex"
 
 
 def test_brute_force_finds_and_verifies():
