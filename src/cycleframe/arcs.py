@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import blocks, compose
-from .graphs import ConstructionBugError, Decomposition, ParameterError, PartialFactor
+from .graphs import ConstructionBugError, Decomposition, ParameterError, PartialFactor, blow_up
 from .verify import verify_arcs
 
 FEASIBLE = "feasible"
@@ -232,30 +232,12 @@ def check_feasibility(p: Params) -> Feasibility:
 # Shared assembly helpers
 
 
-def _thread_components(part_cycles, abstract_factors, hole, cycle_length):
-    """Map a factorization of the abstract C_r x K_m onto concrete part
-    cycles: abstract position x becomes the x-th part of each cycle."""
-    out = []
-    for f_abs in abstract_factors:
-        cycles = []
-        for comp in part_cycles:
-            for cyc in f_abs.cycles:
-                cycles.append(tuple((comp[x], z) for (x, z) in cyc))
-        out.append(PartialFactor.build(cycle_length, hole, cycles))
-    return out
-
-
 def _k2_twist_cycles(part_a: int, part_b: int, slot_cycle) -> list[tuple]:
     """The two cycles of (slot cycle) x K_2 over an even slot cycle."""
     n = len(slot_cycle)
     first = tuple(((part_a if i % 2 == 0 else part_b), slot_cycle[i]) for i in range(n))
     second = tuple(((part_b if i % 2 == 0 else part_a), slot_cycle[i]) for i in range(n))
     return [first, second]
-
-
-def _part_cycles_of(factor: PartialFactor) -> list[tuple[int, ...]]:
-    """Unwrap cycles of a one-slot-per-part decomposition into part tuples."""
-    return [tuple(v for (v, _) in cyc) for cyc in factor.cycles]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +252,8 @@ def build_case_u1modk_l2(p: Params) -> list[PartialFactor]:
         raise ParameterError(f"case c needs u = 1 (mod k), got u={u}")
     near = blocks.near_cycle_factorization_doubled(k, u).decomposition
     abstract = blocks.ck_factorization_cycle_times_complete(k, g).decomposition.factors
-    factors = []
-    for nf in near.factors:
-        factors.extend(_thread_components(_part_cycles_of(nf), abstract, nf.hole, k))
-    return factors
+    # near-factor vertices are (part, 0), so the blow-up only places parts
+    return [blow_up(nf.cycles, f, g, k, nf.hole) for nf in near.factors for f in abstract]
 
 
 def build_case_uodd_g0modk_l2(p: Params) -> list[PartialFactor]:
@@ -307,10 +287,8 @@ def build_case_u4x(p: Params) -> list[PartialFactor]:
     factors = []
     if x == 1:
         for tf in triangles:
-            pmap = sorted(set(range(4)) - {tf.hole})
-            mapping = {i: pmap[i] for i in range(3)}
-            for kf in kky:
-                factors.append(compose.relabel_factor(kf, mapping, hole=tf.hole))
+            parts = [[(q, 0) for q in range(4) if q != tf.hole]]
+            factors.extend(blow_up(parts, kf, 1, k, tf.hole) for kf in kky)
         return factors
     matchings = blocks.partial_one_factorization_multipartite(x, 4)
     slot_dec = blocks.ck_factorization_complete_doubled(k // 2, g).decomposition
@@ -326,10 +304,8 @@ def build_case_u4x(p: Params) -> list[PartialFactor]:
                 linking.append(cycles)
         group = []
         for tf in triangles:
-            pmap = sorted(set(range(4)) - {tf.hole})
-            mapping = {c: i * 4 + pmap[c] for c in range(3)}
-            for kf in kky:
-                group.append((i * 4 + tf.hole, compose.relabel_factor(kf, mapping)))
+            parts = [[(i * 4 + q, 0) for q in range(4) if q != tf.hole]]
+            group.extend((i * 4 + tf.hole, blow_up(parts, kf, 1, k)) for kf in kky)
         if len(group) != len(linking):
             raise ConstructionBugError("case e/f pairing is out of balance")
         for (hole, gf), link_cycles in zip(group, linking):
@@ -361,10 +337,7 @@ def build_case_primesplit_l2(p: Params, split: PrimeSplit) -> list[PartialFactor
         return build_case_uodd_g0modk_l2(p)
     near = blocks.near_cycle_factorization_doubled(r, u).decomposition
     abstract = _abstract_cycle_route(r, g, s)
-    factors = []
-    for nf in near.factors:
-        factors.extend(_thread_components(_part_cycles_of(nf), abstract, nf.hole, k))
-    return factors
+    return [blow_up(nf.cycles, f, g, k, nf.hole) for nf in near.factors for f in abstract]
 
 
 def build_case_remark_zigzag(p: Params, split: PrimeSplit) -> list[PartialFactor]:
@@ -425,17 +398,15 @@ def _hub_and_groups(r: int, t: int, u: int, cycle_length: int,
         linking = []
         for mf in (m for m in matchings if m.missing == i):
             for bf in bip:
-                part_cycles = [tuple((a * r + ha * half + z) if side == 0
-                                     else (b * r + hb * half + z) for (side, z) in cyc)
-                               for ((a, ha), (b, hb)) in mf.edges for cyc in bf.cycles]
-                linking.extend(_thread_components(part_cycles, abstract_factors, None,
-                                                  cycle_length))
-        part_map = {w: i * r + w for w in range(r)}
-        part_map[r] = hub
+                link = [tuple(((a * r + ha * half + z) if side == 0
+                               else (b * r + hb * half + z), 0) for (side, z) in cyc)
+                        for ((a, ha), (b, hb)) in mf.edges for cyc in bf.cycles]
+                linking.extend(blow_up(link, f, t, cycle_length) for f in abstract_factors)
+        part_map = [i * r + w for w in range(r)] + [hub]
         group = []
         hub_here = []
         for f in inner_factors:
-            mapped = compose.relabel_factor(f, part_map, hole=part_map[f.hole])
+            mapped = blow_up([[(q, 0) for q in part_map]], f, 1, cycle_length, part_map[f.hole])
             (hub_here if mapped.hole == hub else group).append(mapped)
         for idx, f in enumerate(hub_here):
             hub_batches[idx].append(f)
@@ -478,29 +449,13 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
     q = g // s
     block = _hub_and_groups(r, s, u, k, compose.partial_ckt_factorization_kplus1_times_t,
                             compose.ckt_factorization_cycle_times_t)
-    by_hole: dict[int, list[PartialFactor]] = {}
-    for f in block:
-        by_hole.setdefault(f.hole, []).append(f)
-    factors = []
-    for hole in range(u):
-        for bf in by_hole[hole]:
-            cycles = []
-            for b in range(q):
-                cycles.extend(tuple((pp, b * s + z) for (pp, z) in cyc) for cyc in bf.cycles)
-            factors.append(PartialFactor.build(k, hole, cycles))
+    copies = [[(pp, b) for pp in range(u)] for b in range(q)]
+    factors = [blow_up(copies, bf, s, k, bf.hole) for bf in sorted(block, key=lambda f: f.hole)]
     if q >= 3:
         outer = _hub_and_groups(r, q, u, r, compose.partial_ck_factorization_kplus1_times_t,
                                 _cycle_times_complete)
         lex = blocks.lex_cycle_factorization(r, s).decomposition.factors
-        for of in outer:
-            for lf in lex:
-                cycles = []
-                for cyc in of.cycles:
-                    spots = list(cyc)
-                    for lcyc in lf.cycles:
-                        cycles.append(tuple((spots[pos][0], spots[pos][1] * s + z)
-                                            for (pos, z) in lcyc))
-                factors.append(PartialFactor.build(k, of.hole, cycles))
+        factors.extend(blow_up(of.cycles, lf, s, k, of.hole) for of in outer for lf in lex)
     return factors
 
 

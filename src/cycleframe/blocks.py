@@ -441,8 +441,6 @@ def ck_factorization_cycle_times_complete(kk: int, m: int, n: int = 1) -> BlockR
         factors = []
         for row in rows:
             pf = assemble_from_distances(part_cycle, row, m)
-            if pf.cycle_length != kk * n:
-                raise ConstructionBugError("distance row produced wrong cycle length")
             factors.append(PartialFactor.build(kk * n, None, pf.cycles))
         return _finish(host, factors, EXPLICIT, f"cycle_times_complete_n{n}")
 
@@ -488,8 +486,6 @@ def lex_cycle_factorization(m: int, n: int, target_gcd: int = 1) -> BlockResult:
         factors = []
         for row in rows:
             pf = assemble_from_distances(part_cycle, row, n)
-            if pf.cycle_length != cycle_len:
-                raise ConstructionBugError("lex blow-up row produced wrong cycle length")
             factors.append(PartialFactor.build(cycle_len, None, pf.cycles))
         return _finish(host, factors, EXPLICIT, "lex_blowup_rows")
     except search.UnsupportedBlockError:

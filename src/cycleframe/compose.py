@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import blocks
 from .graphs import (ConstructionBugError, Decomposition, ExceptionalCase,
                      MultiGraph, ParameterError, PartialFactor,
-                     assemble_from_distances, edge_key, tensor_complete,
+                     assemble_from_distances, blow_up, edge_key, tensor_complete,
                      trace_two_regular)
 from .verify import check_partition
 
@@ -26,14 +26,6 @@ def _finish(host: MultiGraph, factors, tag: str) -> Decomposition:
     if not result:
         raise ConstructionBugError(f"{tag} failed verification: {result.reason} {result.path}")
     return dec
-
-
-def relabel_factor(factor: PartialFactor, part_map, slot_shift: int = 0,
-                   hole: int | None = None) -> PartialFactor:
-    """Re-embed a factor: parts through part_map, slots shifted."""
-    cycles = [tuple((part_map[p], s + slot_shift) for (p, s) in cyc)
-              for cyc in factor.cycles]
-    return PartialFactor.build(factor.cycle_length, hole, cycles)
 
 
 def transpose_factor(factor: PartialFactor) -> PartialFactor:
@@ -67,8 +59,6 @@ def partial_ck_factorization_kplus1_times_t(k: int, t: int) -> Decomposition:
             first, second = (r, t - r) if starts_with_r else (t - r, r)
             dv = [first if pos % 2 == 0 else second for pos in range(k)]
             pf = assemble_from_distances(cyc, dv, t)
-            if pf.cycle_length != k:
-                raise ConstructionBugError("threading produced wrong cycle length")
             factors.append(PartialFactor.build(k, missing, pf.cycles))
     return _finish(host, factors, "kplus1_alternating_threading")
 
@@ -170,8 +160,6 @@ def _k3_times_kk_base(k: int) -> list[PartialFactor]:
         for r in (1, 2):
             dv = [r if pos % 2 == 0 else 3 - r for pos in range(k)]
             pf = assemble_from_distances(ham, dv, 3)
-            if pf.cycle_length != k:
-                raise ConstructionBugError("hamilton threading produced wrong cycle length")
             transposed.append(PartialFactor.build(k, None, pf.cycles))
     transposed.extend(blocks.cubic_times_k3_factorization(k, cubic).decomposition.factors)
     return [transpose_factor(f) for f in transposed]
@@ -194,19 +182,11 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
     base = _k3_times_kk_base(k)
     if y == 1:
         return _finish(host, base, "k3_slotside_walecki")
-    identity = {p: p for p in range(3)}
     factors = []
     if y % 2 == 1:
         ttt = blocks.ct_factorization_tripartite(k).decomposition.factors
         for tri_factor in triangle_factorization_k3_times_ky(y):
-            for level in range(k):
-                pieces = []
-                for tri in tri_factor.cycles:
-                    spots = {X: tri[X] for X in range(3)}
-                    for cyc in ttt[level].cycles:
-                        pieces.append(tuple((spots[X][0], spots[X][1] * k + z)
-                                            for (X, z) in cyc))
-                factors.append(PartialFactor.build(k, None, pieces))
+            factors.extend(blow_up(tri_factor.cycles, level, k, k) for level in ttt)
     else:
         bip = blocks.ck_factorization_bipartite(k, k, k).decomposition.factors
         hams = blocks.hamilton_decomp_cycle_times_complete(3, y).decomposition.factors
@@ -214,22 +194,13 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
             cyc = ham.cycles[0]
             length = len(cyc)
             for parity in (0, 1):
-                matching = [tuple(sorted((cyc[i], cyc[(i + 1) % length])))
+                # side 0 of a bipartite block is the smaller endpoint
+                matching = [sorted((cyc[i], cyc[(i + 1) % length]))
                             for i in range(parity, length, 2)]
-                for level in range(len(bip)):
-                    pieces = []
-                    for (pa, ba), (pb, bb) in matching:
-                        for bcyc in bip[level].cycles:
-                            pieces.append(tuple(
-                                (pa, ba * k + z) if side == 0 else (pb, bb * k + z)
-                                for (side, z) in bcyc))
-                    factors.append(PartialFactor.build(k, None, pieces))
+                factors.extend(blow_up(matching, level, k, k) for level in bip)
     # hole blocks: each base factor repeated across all y slot blocks
-    for base_factor in base:
-        cycles = []
-        for b in range(y):
-            cycles.extend(relabel_factor(base_factor, identity, slot_shift=b * k).cycles)
-        factors.append(PartialFactor.build(k, None, cycles))
+    copies = [[(p, b) for p in range(3)] for b in range(y)]
+    factors.extend(blow_up(copies, base_factor, k, k) for base_factor in base)
     return _finish(host, factors, "k3_blocked_blowup")
 
 
@@ -251,15 +222,8 @@ def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFact
         try:
             lex = blocks.lex_cycle_factorization(k, block).decomposition.factors
             outer = blocks.ck_factorization_cycle_times_complete(k, num_blocks).decomposition.factors
-            for outer_factor in outer:
-                for lex_factor in lex:
-                    pieces = []
-                    for cyc in outer_factor.cycles:
-                        spots = list(cyc)
-                        for lcyc in lex_factor.cycles:
-                            pieces.append(tuple((spots[x][0], spots[x][1] * block + z)
-                                                for (x, z) in lcyc))
-                    factors.append(PartialFactor.build(k * block, None, pieces))
+            factors.extend(blow_up(outer_factor.cycles, lex_factor, block, k * block)
+                           for outer_factor in outer for lex_factor in lex)
         except ParameterError:
             # odd k with num_blocks = 2 (mod 4) has no plain C_k-factor layer;
             # blow the Hamilton cycles of C_k x K_num_blocks instead, cutting
@@ -269,17 +233,9 @@ def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFact
             hams = blocks.hamilton_decomp_cycle_times_complete(k, num_blocks).decomposition.factors
             lex = blocks.lex_cycle_factorization(k * num_blocks, block,
                                                  num_blocks).decomposition.factors
-            for ham in hams:
-                spots = list(ham.cycles[0])
-                for lex_factor in lex:
-                    pieces = [tuple((spots[x][0], spots[x][1] * block + z) for (x, z) in lcyc)
-                              for lcyc in lex_factor.cycles]
-                    factors.append(PartialFactor.build(k * block, None, pieces))
+            factors.extend(blow_up(ham.cycles, lex_factor, block, k * block)
+                           for ham in hams for lex_factor in lex)
     pten = blocks.hamilton_decomp_cycle_times_complete(k, block).decomposition.factors
-    for hole_factor in pten:
-        cycles = []
-        for b in range(num_blocks):
-            cycles.extend(tuple((p, b * block + s) for (p, s) in cyc)
-                          for cyc in hole_factor.cycles)
-        factors.append(PartialFactor.build(k * block, None, cycles))
+    copies = [[(p, b) for p in range(k)] for b in range(num_blocks)]
+    factors.extend(blow_up(copies, hole_factor, block, k * block) for hole_factor in pten)
     return factors

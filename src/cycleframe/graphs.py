@@ -9,7 +9,6 @@ arithmetic.  All values are immutable after construction.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 Vertex = tuple[int, int]
@@ -99,24 +98,6 @@ def complete_graph(n: int, lam: int = 1) -> MultiGraph:
     return MultiGraph(n, 1, edges, kind)
 
 
-def mcf_identity_check(u: int, g: int, lam: int = 1) -> bool:
-    """Check (K_u (x) K̄_g) - g K_u == K_u x K_g as exact edge multisets.
-
-    The g removed copies of K_u(lam) are slot-aligned: copy j joins the
-    vertices (p, j) across all parts.
-    """
-    if u < 2 or g < 2 or lam < 1:
-        raise ParameterError(f"mcf_identity_check got {(u, g, lam)}")
-    remaining = Counter(multipartite_complete(u, g, lam).edges)
-    for j in range(g):
-        for p1, p2 in itertools.combinations(range(u), 2):
-            remaining[((p1, j), (p2, j))] -= lam
-    remaining = +remaining  # drop zero entries, keep negatives visible
-    if any(m < 0 for m in remaining.values()):
-        return False
-    return remaining == Counter(tensor_complete(u, g, lam).edges)
-
-
 def canonical_cycle(vertices) -> Cycle:
     """Least rotation over both traversal directions; fixes a unique form.
 
@@ -128,11 +109,6 @@ def canonical_cycle(vertices) -> Cycle:
     i = vs.index(min(vs))
     f = vs[i:] + vs[:i]
     return min(f, f[:1] + f[:0:-1])
-
-
-def cycle_edges(cycle: Cycle) -> list[Edge]:
-    n = len(cycle)
-    return [edge_key(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -151,15 +127,6 @@ class PartialFactor:
     def build(cycle_length: int, hole: int | None, cycles) -> "PartialFactor":
         canon = tuple(sorted(canonical_cycle(c) for c in cycles))
         return PartialFactor(cycle_length, hole, canon)
-
-    def vertex_set(self) -> set[Vertex]:
-        return {v for c in self.cycles for v in c}
-
-    def edge_multiset(self) -> Counter[Edge]:
-        out: Counter[Edge] = Counter()
-        for c in self.cycles:
-            out.update(cycle_edges(c))
-        return out
 
 
 @dataclass(frozen=True)
@@ -206,6 +173,21 @@ def assemble_from_distances(part_cycle, dv, t: int) -> PartialFactor:
     lengths = {len(c) for c in cycles}
     assert len(lengths) == 1, "distance assembly must give equal cycle lengths"
     return PartialFactor.build(lengths.pop(), None, cycles)
+
+
+def blow_up(outer, inner: PartialFactor, size: int, cycle_length: int,
+            hole: int | None = None) -> PartialFactor:
+    """Inflate `inner` along every outer cycle: one copy per cycle c.
+
+    Vertex (x, z) of `inner` on outer cycle c becomes (c[x][0], c[x][1] *
+    size + z): abstract position x lands in part c[x], inside the slot block
+    of c[x].  One-slot outer cycles ((part, 0) vertices) only relabel parts;
+    `[[(p, b) for p in parts] for b in blocks]` copies a factor into each
+    slot block.
+    """
+    return PartialFactor.build(cycle_length, hole, [
+        tuple((c[x][0], c[x][1] * size + z) for x, z in cyc)
+        for c in outer for cyc in inner.cycles])
 
 
 def trace_two_regular(edges) -> list[Cycle]:

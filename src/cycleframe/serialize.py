@@ -19,10 +19,8 @@ from .graphs import Decomposition, MultiGraph, PartialFactor
 
 
 def factor_to_obj(factor: PartialFactor) -> dict[str, Any]:
-    return {
-        "hole": factor.hole,
-        "cycles": [[[p, s] for (p, s) in cyc] for cyc in factor.cycles],
-    }
+    # json.dumps writes the tuples of a cycle as arrays: no copy is needed
+    return {"hole": factor.hole, "cycles": factor.cycles}
 
 
 def factor_from_obj(obj: dict[str, Any], cycle_length: int) -> PartialFactor:

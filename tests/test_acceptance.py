@@ -18,6 +18,7 @@ from cycleframe.arcs import Params, build_arcs, check_feasibility, expected_coun
 from cycleframe.cli import main as cli_main
 from cycleframe.graphs import Decomposition, PartialFactor
 from cycleframe.verify import brute_force_arcs, verify_arcs
+from multisets import edge_multiset
 
 SWEEP = [(2, 4, 5, 2), (2, 4, 5, 3), (2, 4, 5, 6), (1, 4, 5, 3), (1, 4, 13, 3),
          (2, 6, 7, 2), (2, 6, 3, 6), (2, 4, 3, 4), (2, 6, 4, 6), (2, 8, 4, 8),
@@ -155,9 +156,7 @@ def test_criterion_7_block_unit_properties():
         assert union == Counter({(i, j): 1 for i, j in itertools.combinations(range(u), 2)})
     for k in range(4, 13, 2):
         dec = blocks.near_cycle_factorization_doubled(k, k + 1).decomposition
-        union = Counter()
-        for f in dec.factors:
-            union.update(f.edge_multiset())
+        union = edge_multiset(dec.factors)
         assert set(union.values()) == {2} and len(union) == (k + 1) * k // 2
     for k in range(6, 17, 2):
         hams, cubic = blocks.walecki_split(k)

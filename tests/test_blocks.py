@@ -7,6 +7,7 @@ import pytest
 
 from cycleframe import blocks, graphs, search
 from cycleframe.verify import check_partition
+from multisets import edge_multiset
 
 
 def all_pairs(n):
@@ -120,10 +121,9 @@ def test_near_ck_kplus1_double_cover(k):
     dec = result.decomposition
     assert result.strategy == blocks.EXPLICIT
     assert len(dec.factors) == k + 1
-    union = Counter()
     for f in dec.factors:
         assert len(f.cycles) == 1 and f.cycle_length == k
-        union.update(f.edge_multiset())
+    union = edge_multiset(dec.factors)
     expected = Counter({(((i, 0)), ((j, 0))): 2
                         for i, j in itertools.combinations(range(k + 1), 2)})
     assert union == expected
@@ -173,9 +173,7 @@ def test_ck_factorization_complete_doubled(m, u, expect_cycles):
     for f in dec.factors:
         assert f.cycle_length == 2 * m
         assert len(f.cycles) == expect_cycles
-    union = Counter()
-    for f in dec.factors:
-        union.update(f.edge_multiset())
+    union = edge_multiset(dec.factors)
     assert union == Counter({(((i, 0)), ((j, 0))): 2
                              for i, j in itertools.combinations(range(u), 2)})
 
@@ -338,6 +336,17 @@ def test_failed_cache_write_still_returns_the_block(tmp_path, monkeypatch):
     assert result.strategy == blocks.SEARCH
     assert check_partition(graphs.complete_graph(9, 2), result.decomposition.factors)
     assert list(cache.glob("*.tmp")) == []
+
+
+def test_wrong_distance_rows_fail_the_partition_check(monkeypatch):
+    real = search.distance_array
+
+    def wrong_gcd(kk, m, target_gcd=1, **kwargs):
+        return real(kk, m, target_gcd=1, **kwargs)  # Hamilton rows, not 4-cycles
+
+    monkeypatch.setattr(search, "distance_array", wrong_gcd)
+    with pytest.raises(graphs.ConstructionBugError, match="cycle length mismatch"):
+        blocks.ck_factorization_cycle_times_complete(4, 5)
 
 
 def test_distance_array_columns_are_permutations():

@@ -7,6 +7,7 @@ import pytest
 from cycleframe import blocks, compose, graphs
 from cycleframe.arcs import _abstract_cycle_route
 from cycleframe.verify import check_partition
+from multisets import edge_multiset
 
 
 @pytest.mark.parametrize("k,t", [(4, 3), (4, 5), (8, 3), (12, 3)])
@@ -63,11 +64,9 @@ def test_partial_ckt_kplus1_times_t(k, t):
 def test_triangle_factorization():
     factors = compose.triangle_factorization_k3_times_ky(5)
     assert len(factors) == 4
-    union = Counter()
     for f in factors:
         assert f.cycle_length == 3 and len(f.cycles) == 5
-        union.update(f.edge_multiset())
-    assert union == Counter(graphs.tensor_complete(3, 5, 1).edges)
+    assert edge_multiset(factors) == Counter(graphs.tensor_complete(3, 5, 1).edges)
 
 
 @pytest.mark.parametrize("k,y,count", [(6, 1, 5), (8, 1, 7), (8, 2, 15), (6, 3, 17)])
@@ -106,7 +105,7 @@ def test_cycle_times_s_rejects_bad_modulus():
 def test_relabel_and_transpose_roundtrip():
     dec = compose.ckt_factorization_cycle_times_t(4, 3)
     f = dec.factors[0]
-    mapped = compose.relabel_factor(f, {i: i + 10 for i in range(4)}, slot_shift=5, hole=None)
+    mapped = graphs.blow_up([[(i + 10, 1) for i in range(4)]], f, 5, f.cycle_length)
     assert {v[0] for c in mapped.cycles for v in c} == {10, 11, 12, 13}
     assert {v[1] for c in mapped.cycles for v in c} == {5, 6, 7}
     flipped = compose.transpose_factor(f)

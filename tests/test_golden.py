@@ -2,8 +2,10 @@
 
 Each digest is the SHA-256 of the canonical JSON of one cell, recorded from
 a cold-cache build.  The cells cover every case route, the x > 2 hub-and-
-groups assembly of cases a and b, the searched partial 1-factorization and
-lambda stacking; a refactor that changes any output byte fails here.
+groups assembly of cases a and b, the searched partial 1-factorization,
+lambda stacking and every call site of `graphs.blow_up` (case e with x > 2,
+odd y of K_3 x K_ky, both branches of `cycle_times_blocked`); a refactor
+that changes any output byte fails here.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ GOLDEN = {
     (2, 6, 3, 3): "debd1c8f57e447ea1278f20f2023bdf0eee52c7c54ae0381e5440d6724826ffa",
     (3, 4, 5, 3): "87e0cd9253656fc6c819c046116790cdcf85c662a94e4574d25850ca865b7969",
     (4, 4, 5, 2): "7efa22f7257b77f86e14e8531ee7b58175695e06de04b61cfb92ab2c5382f8d4",
+    (2, 6, 12, 6): "ec3c86385923c523bf4e479ab9db1e5c9d9d8737713e53e920d38eadff4f2607",
+    (2, 6, 4, 18): "370b8150a4d62ac080062c72c1b1d3084e38a5266f680b95f962a71fa831d586",
+    (2, 6, 4, 8): "0c303c3d0c7098264cb464ad76eac614a9f4bcd6d50bd278f85f19ddf1dbb67e",
+    (2, 6, 4, 4): "c5530895a64ed4796e1873841a1286a87f4ade383766fd67921e550d2baa46d2",
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleframe import blocks, graphs
+from multisets import edge_multiset
 
 
 def brute_tensor_edges(u, g, lam):
@@ -55,10 +56,17 @@ def test_tensor_complete_rejects_bad_parameters():
 
 
 def test_mcf_identity_exhaustive_sweep():
+    """(K_u (x) K̄_g) - g K_u == K_u x K_g as exact edge multisets; the g
+    removed copies of K_u(lam) are slot-aligned: copy j joins the (p, j)."""
     for u in range(2, 9):
         for g in range(2, 7):
             for lam in (1, 2):
-                assert graphs.mcf_identity_check(u, g, lam), (u, g, lam)
+                remaining = Counter(graphs.multipartite_complete(u, g, lam).edges)
+                for j in range(g):
+                    for p1, p2 in itertools.combinations(range(u), 2):
+                        remaining[((p1, j), (p2, j))] -= lam
+                assert min(remaining.values()) >= 0, (u, g, lam)
+                assert +remaining == Counter(graphs.tensor_complete(u, g, lam).edges), (u, g, lam)
 
 
 def distance_matchings(t):
@@ -105,7 +113,7 @@ def trace_lengths(part_cycle, dv, t):
 def test_assemble_from_distances_examples():
     pf = graphs.assemble_from_distances((0, 1, 2, 3), (1, 2, 1, 2), 3)
     assert pf.cycle_length == 4 and len(pf.cycles) == 3
-    assert len(pf.vertex_set()) == 12
+    assert len({v for c in pf.cycles for v in c}) == 12
     pf = graphs.assemble_from_distances((0, 1, 2, 3), (1, 1, 1, 1), 3)
     assert pf.cycle_length == 12 and len(pf.cycles) == 1
     with pytest.raises(graphs.DegenerateCycleError):
@@ -144,7 +152,7 @@ def test_assemble_from_distances_matches_trace_oracle():
                 assert sorted(len(c) for c in pf.cycles) == sorted(expected)
                 # 2-regularity across the whole span
                 degree = Counter()
-                for e in pf.edge_multiset().elements():
+                for e in edge_multiset([pf]).elements():
                     degree[e[0]] += 1
                     degree[e[1]] += 1
                 assert set(degree.values()) == {2}
@@ -185,6 +193,30 @@ def test_blow_up_examples():
     assert Counter(kkk.edges) == Counter(graphs.multipartite_complete(3, 5, 1).edges)
 
 
+def test_blow_up_one_slot_cycles_relabel_parts_only():
+    inner = graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3)
+    out = graphs.blow_up([[(7, 0), (4, 0), (9, 0)]], inner, 5, 3, hole=2)
+    parts = (7, 4, 9)
+    assert out == graphs.PartialFactor.build(
+        3, 2, [tuple((parts[p], s) for p, s in cyc) for cyc in inner.cycles])
+
+
+def test_blow_up_copies_shift_slots_by_block():
+    inner = graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3)
+    copies = [[(p, b) for p in range(3)] for b in range(2)]
+    out = graphs.blow_up(copies, inner, 3, 3)
+    assert out.hole is None and len(out.cycles) == 2 * len(inner.cycles)
+    assert out == graphs.PartialFactor.build(
+        3, None, [tuple((p, b * 3 + s) for p, s in cyc) for b in range(2) for cyc in inner.cycles])
+
+
+def test_blow_up_edge_maps_sides_to_endpoints():
+    # a 4-cycle of K_{2,2} as (side, slot) vertices, blown along the edge (3,1)-(5,0)
+    square = graphs.PartialFactor.build(4, None, [((0, 0), (1, 0), (0, 1), (1, 1))])
+    out = graphs.blow_up([((3, 1), (5, 0))], square, 2, 4)
+    assert out.cycles == (graphs.canonical_cycle(((3, 2), (5, 0), (3, 3), (5, 1))),)
+
+
 def test_trace_two_regular_starts_each_cycle_at_its_least_vertex():
     square = [(0, 1), (1, 2), (2, 3), (0, 3)]
     triangle = [(7, 9), (9, 8), (8, 7)]
@@ -196,7 +228,7 @@ def test_trace_two_regular_starts_each_cycle_at_its_least_vertex():
 def test_partial_factor_edges_and_span():
     pf = graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3)
     assert pf.cycle_length == 3 and len(pf.cycles) == 3  # jump sum 3 = 0 (mod 3)
-    assert len(pf.edge_multiset()) == 9
-    assert pf.vertex_set() == {(p, s) for p in range(3) for s in range(3)}
+    assert len(edge_multiset([pf])) == 9
+    assert {v for c in pf.cycles for v in c} == {(p, s) for p in range(3) for s in range(3)}
     pf = graphs.assemble_from_distances((0, 1, 2), (1, 1, 2), 3)
     assert pf.cycle_length == 9 and len(pf.cycles) == 1  # jump sum 4, coprime to 3

@@ -9,6 +9,7 @@ from cycleframe import graphs
 from cycleframe.arcs import Params, build_arcs, expected_counts
 from cycleframe.graphs import PartialFactor, Decomposition, tensor_complete
 from cycleframe.verify import brute_force_arcs, check_partition, verify_arcs
+from multisets import edge_multiset
 
 
 def test_partial_factor_rejects_nonadjacent_edge():
@@ -119,7 +120,7 @@ def reference_verdict(dec, p) -> bool:
                 or len(verts) != len(set(verts))
                 or set(verts) != {v for v in host.vertices() if v[0] != f.hole}):
             return False
-        total.update(f.edge_multiset())
+        total.update(edge_multiset([f]))
     holes = Counter(f.hole for f in dec.factors)
     return (total == Counter(host.edges)
             and len(dec.factors) == p.lam * p.u * (p.g - 1) // 2
@@ -184,7 +185,7 @@ def test_verify_arcs_names_each_fault():
     # g = 2: a 4-cycle alternates slots, so its opposite corners share a slot
     a, b, c, d = f.cycles[0]
     assert reason(PartialFactor(4, f.hole, ((a, c, b, d),) + f.cycles[1:])) == "edge not in host"
-    p1, p2, p3, p4 = sorted({v[0] for v in f.vertex_set()})
+    p1, p2, p3, p4 = sorted({v[0] for c in f.cycles for v in c})
     same_part = (((p1, 0), (p1, 1), (p2, 0), (p2, 1)), ((p3, 0), (p3, 1), (p4, 0), (p4, 1)))
     assert reason(PartialFactor(4, f.hole, same_part)) == "edge not in host"
     assert reason(PartialFactor(4, f.hole, f.cycles[1:])) == "span mismatch"
