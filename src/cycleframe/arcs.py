@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import blocks, compose
-from .graphs import ConstructionBugError, Decomposition, ParameterError, PartialFactor, blow_up
+from .graphs import (ConstructionBugError, Decomposition, ParameterError, PartialFactor,
+                     assemble_from_distances, blow_up)
 from .verify import verify_arcs
 
 FEASIBLE = "feasible"
@@ -232,12 +233,27 @@ def check_feasibility(p: Params) -> Feasibility:
 # Shared assembly helpers
 
 
-def _k2_twist_cycles(part_a: int, part_b: int, slot_cycle) -> list[tuple]:
-    """The two cycles of (slot cycle) x K_2 over an even slot cycle."""
-    n = len(slot_cycle)
-    first = tuple(((part_a if i % 2 == 0 else part_b), slot_cycle[i]) for i in range(n))
-    second = tuple(((part_b if i % 2 == 0 else part_a), slot_cycle[i]) for i in range(n))
-    return [first, second]
+def _k2_twist(slot_factor: PartialFactor, cycle_length: int) -> PartialFactor:
+    """(slot factor) x K_2 on parts {0, 1}, for blowing up along matchings.
+
+    Each slot cycle of (z, 0) vertices is threaded with jump 1 mod 2, so the
+    part alternates along it: an even slot cycle gives two cycles, an odd
+    one a single cycle of twice its length.
+    """
+    return PartialFactor.build(cycle_length, None, [
+        tuple((h, z) for z, h in cyc) for sc in slot_factor.cycles
+        for cyc in assemble_from_distances([z for z, _ in sc], [1] * len(sc), 2)])
+
+
+def _twisted_near_one_factors(u: int, slot_factors, k: int) -> list[PartialFactor]:
+    """Near 1-factors of K_u crossed with the slot factors: each matching
+    edge carries the K_2 twist of every slot cycle."""
+    twisted = [_k2_twist(sf, k) for sf in slot_factors]
+    factors = []
+    for mf in blocks.near_one_factorization(u):
+        edges = [[(a, 0), (b, 0)] for a, b in mf.edges]
+        factors.extend(blow_up(edges, tw, 1, k, mf.missing) for tw in twisted)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +279,7 @@ def build_case_uodd_g0modk_l2(p: Params) -> list[PartialFactor]:
     if u % 2 != 1 or g % k != 0:
         raise ParameterError(f"case d needs odd u and k | g, got ({u}, {g})")
     slot_dec = blocks.ck_factorization_complete_doubled(k // 2, g).decomposition
-    factors = []
-    for mf in blocks.near_one_factorization(u):
-        for sf in slot_dec.factors:
-            cycles = []
-            for (a, b) in mf.edges:
-                for cyc in sf.cycles:
-                    cycles.extend(_k2_twist_cycles(a, b, [z for (z, _) in cyc]))
-            factors.append(PartialFactor.build(k, mf.missing, cycles))
-    return factors
+    return _twisted_near_one_factors(u, slot_dec.factors, k)
 
 
 def build_case_u4x(p: Params) -> list[PartialFactor]:
@@ -292,24 +300,20 @@ def build_case_u4x(p: Params) -> list[PartialFactor]:
         return factors
     matchings = blocks.partial_one_factorization_multipartite(x, 4)
     slot_dec = blocks.ck_factorization_complete_doubled(k // 2, g).decomposition
+    twisted = [_k2_twist(sf, k) for sf in slot_dec.factors]
     for i in range(x):
         linking = []
         for mf in (m for m in matchings if m.missing == i):
-            for sf in slot_dec.factors:
-                cycles = []
-                for ((a, ha), (b, hb)) in mf.edges:
-                    for cyc in sf.cycles:
-                        cycles.extend(_k2_twist_cycles(a * 4 + ha, b * 4 + hb,
-                                                       [z for (z, _) in cyc]))
-                linking.append(cycles)
+            edges = [[(a * 4 + ha, 0), (b * 4 + hb, 0)] for ((a, ha), (b, hb)) in mf.edges]
+            linking.extend(blow_up(edges, tw, 1, k) for tw in twisted)
         group = []
         for tf in triangles:
             parts = [[(i * 4 + q, 0) for q in range(4) if q != tf.hole]]
             group.extend((i * 4 + tf.hole, blow_up(parts, kf, 1, k)) for kf in kky)
         if len(group) != len(linking):
             raise ConstructionBugError("case e/f pairing is out of balance")
-        for (hole, gf), link_cycles in zip(group, linking):
-            factors.append(PartialFactor.build(k, hole, list(gf.cycles) + link_cycles))
+        for (hole, gf), lf in zip(group, linking):
+            factors.append(PartialFactor.build(k, hole, list(gf.cycles) + list(lf.cycles)))
     return factors
 
 
@@ -349,18 +353,7 @@ def build_case_remark_zigzag(p: Params, split: PrimeSplit) -> list[PartialFactor
     if 2 * s != k or u % 2 != 1 or g % (2 * s) != s:
         raise ParameterError(f"zigzag case needs odd u and g = s (mod 2s), got ({u}, {g})")
     slot_dec = blocks.cs_factorization_complete_odd(s, g).decomposition
-    factors = []
-    for mf in blocks.near_one_factorization(u):
-        for sf in slot_dec.factors:
-            for _copy in range(2):
-                cycles = []
-                for (a, b) in mf.edges:
-                    for cyc in sf.cycles:
-                        slots = [z for (z, _) in cyc]
-                        cycles.append(tuple(((a if i % 2 == 0 else b), slots[i % s])
-                                            for i in range(2 * s)))
-                factors.append(PartialFactor.build(k, mf.missing, cycles))
-    return factors
+    return [f for f in _twisted_near_one_factors(u, slot_dec.factors, k) for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from pathlib import Path
 from . import search, serialize
 from .graphs import (ConstructionBugError, Decomposition, DegenerateCycleError,
                      Edge, ExceptionalCase, MultiGraph, ParameterError,
-                     PartialFactor, assemble_from_distances, complete_graph,
-                     edge_key, multipartite_complete, trace_two_regular)
+                     PartialFactor, assemble_from_distances, blow_up,
+                     complete_graph, edge_key, multipartite_complete,
+                     trace_two_regular)
 from .verify import check_partition
 
 CACHE_ENV = "CYCLEFRAME_CACHE"
@@ -57,15 +58,16 @@ def _cached(family: str, params: tuple, load, fresh, dump):
     """The value `load` reads from the cache entry, else `fresh()`, stored.
 
     `load` parses and verifies a payload, raising on any fault; an entry
-    that fails is deleted and rebuilt.  `dump` turns a fresh value into its
-    payload.  The cache only saves time: a failed write leaves no temporary
-    file behind and does not fail the build.
+    that fails is deleted and rebuilt, and one that cannot be read is a
+    miss.  `dump` turns a fresh value into its payload.  The cache only
+    saves time: a failed write leaves no temporary file behind and does not
+    fail the build.
     """
     path = _cache_path(family, params)
     try:
         return load(json.loads(path.read_text(encoding="ascii")))
-    except FileNotFoundError:
-        pass
+    except OSError:
+        pass  # missing or unreadable: a miss
     except (ValueError, KeyError, TypeError, IndexError, ConstructionBugError):
         path.unlink(missing_ok=True)
     value = fresh()
@@ -249,7 +251,8 @@ def _walecki_zigzag(modulus: int) -> list[int]:
 
 
 def walecki_hamilton_cycles(k: int, rotations: int) -> list[tuple[int, ...]]:
-    """First `rotations` Walecki Hamilton cycles of K_k (k even, inf = k-1)."""
+    """First `rotations` Walecki Hamilton cycles of K_k (inf = k-1); for odd
+    k, (k-1)/2 rotations decompose K_k."""
     modulus = k - 1
     base = _walecki_zigzag(modulus)
     return [tuple([k - 1] + [(v + j) % modulus for v in base]) for j in range(rotations)]
@@ -281,9 +284,7 @@ def hamilton_decomposition_complete_odd(t: int) -> list[tuple[int, ...]]:
     """Hamilton decomposition of K_t for odd t (inf = t-1), (t-1)/2 cycles."""
     if t < 3 or t % 2 == 0:
         raise ParameterError(f"odd complete Hamilton decomposition needs odd t >= 3, got {t}")
-    modulus = t - 1
-    base = _walecki_zigzag(modulus)
-    return [tuple([t - 1] + [(v + j) % modulus for v in base]) for j in range(modulus // 2)]
+    return walecki_hamilton_cycles(t, (t - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +404,8 @@ def ck_factorization_bipartite(m: int, n: int, kk: int) -> BlockResult:
             chain = [(c + i * w) % n for i in range(kk // 2)]
             for i in range(0, len(chain), 2):
                 d1, d2 = chain[i], chain[i + 1]
-                edges = [edge_key((0, s), (1, (s + d1) % n)) for s in range(n)]
-                edges += [edge_key((0, s), (1, (s + d2) % n)) for s in range(n)]
-                cycles = trace_two_regular(edges)
-                factors.append(PartialFactor.build(kk, None, cycles))
+                factors.append(PartialFactor.build(
+                    kk, None, assemble_from_distances((0, 1), (d1, -d2), n)))
         return _finish(host, factors, EXPLICIT, "bipartite_distance_pairs")
 
     return _searched("ck_factor_knn", (n, kk), host, kk, [None] * (n // 2), "bipartite_search")
@@ -437,11 +436,8 @@ def ck_factorization_cycle_times_complete(kk: int, m: int, n: int = 1) -> BlockR
     except search.UnsupportedBlockError:
         rows = None  # not every instance is uniform; fall back to edge search
     if rows is not None:
-        part_cycle = tuple(range(kk))
-        factors = []
-        for row in rows:
-            pf = assemble_from_distances(part_cycle, row, m)
-            factors.append(PartialFactor.build(kk * n, None, pf.cycles))
+        factors = [PartialFactor.build(kk * n, None, assemble_from_distances(range(kk), row, m))
+                   for row in rows]
         return _finish(host, factors, EXPLICIT, f"cycle_times_complete_n{n}")
 
     return _searched("ck_factor_ckxkm", (kk, m, n), host, kk * n, [None] * (m - 1),
@@ -480,13 +476,10 @@ def lex_cycle_factorization(m: int, n: int, target_gcd: int = 1) -> BlockResult:
         raise ParameterError("target must divide the part size")
     cycle_len = m * n // target_gcd
     host = cycle_lex_host(m, n)
-    part_cycle = tuple(range(m))
     try:
         rows = search.distance_array(m, n, target_gcd=target_gcd, include_zero=True)
-        factors = []
-        for row in rows:
-            pf = assemble_from_distances(part_cycle, row, n)
-            factors.append(PartialFactor.build(cycle_len, None, pf.cycles))
+        factors = [PartialFactor.build(cycle_len, None, assemble_from_distances(range(m), row, n))
+                   for row in rows]
         return _finish(host, factors, EXPLICIT, "lex_blowup_rows")
     except search.UnsupportedBlockError:
         pass
@@ -603,10 +596,10 @@ def _thread_k3_over_p1f(k: int, one_factors):
             e = tuple(sorted((ham[p], ham[(p + 1) % k])))
             n = choice[e] if edge_owner_factors[e][0] == m else 3 - choice[e]
             dv.append(oriented(n, place[(m, e)][1]))
-        pf = assemble_from_distances(ham, dv, 3)
-        if pf.cycle_length != k:
+        cycles = assemble_from_distances(ham, dv, 3)
+        if any(len(c) != k for c in cycles):
             return None
-        factors.append(PartialFactor.build(k, None, pf.cycles))
+        factors.append(PartialFactor.build(k, None, cycles))
     return factors
 
 
@@ -647,7 +640,8 @@ def ct_factorization_tripartite(t: int) -> BlockResult:
     For t = 0 (mod 4) with t >= 8 the factorization doubles up recursively:
     K_{t,t,t} is the half-size tripartite graph with every slot split in two,
     and each half-size factor cycle blows up into the two Hamilton factors of
-    its doubled ring.  Remaining cases go to the bounded search.
+    its doubled ring: the threading of the m positions over two slots with
+    an odd jump sum.  Remaining cases go to the bounded search.
     """
     if t == 2:
         raise DegenerateCycleError("C_2 factors are not cycles")
@@ -657,21 +651,9 @@ def ct_factorization_tripartite(t: int) -> BlockResult:
     if t >= 8 and t % 4 == 0:
         m = t // 2
         base = ct_factorization_tripartite(m).decomposition.factors
-        factors = []
-        for bf in base:
-            for flip in (0, 1):
-                row = [flip] * (m - 1) + [1 - flip]  # odd sum: one doubled ring
-                pieces = []
-                for cyc in bf.cycles:
-                    spots = list(cyc)
-                    walk = []
-                    x, h = 0, 0
-                    for _ in range(2 * m):
-                        walk.append((spots[x][0], 2 * spots[x][1] + h))
-                        h = (h + row[x]) % 2
-                        x = (x + 1) % m
-                    pieces.append(tuple(walk))
-                factors.append(PartialFactor.build(t, None, pieces))
+        rings = [PartialFactor.build(t, None, assemble_from_distances(
+            range(m), [flip] * (m - 1) + [1 - flip], 2)) for flip in (0, 1)]
+        factors = [blow_up(bf.cycles, ring, 2, t) for bf in base for ring in rings]
         return _finish(host, factors, EXPLICIT, "tripartite_doubling")
 
     return _searched("ct_factor_kttt", (t,), host, t, [None] * t, "tripartite_search")

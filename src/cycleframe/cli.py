@@ -129,26 +129,28 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_table(args) -> int:
+    try:
+        grid = [Params(lam, k, u, g)
+                for lam in _int_list(args.lambdas) for k in _int_list(args.ks)
+                for u in range(3, args.max_u + 1) for g in range(2, args.max_g + 1)]
+    except ValueError as exc:  # a bad list entry or a ParameterError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     rows = []
     failures = 0
-    for lam in _int_list(args.lambdas):
-        for k in _int_list(args.ks):
-            for u in range(3, args.max_u + 1):
-                for g in range(2, args.max_g + 1):
-                    p = Params(lam, k, u, g)
-                    feas = check_feasibility(p)
-                    count = ""
-                    started = time.perf_counter()
-                    if feas:
-                        try:
-                            dec = build_arcs(p)
-                            count = len(dec.factors)
-                        except (ConstructionBugError, ArcsUnavailable,
-                                UnsupportedBlockError) as exc:
-                            failures += 1
-                            count = f"FAILED: {exc}"
-                    millis = round((time.perf_counter() - started) * 1000)
-                    rows.append([lam, k, u, g, _VERDICT_LABEL[feas.verdict], count, millis])
+    for p in grid:
+        feas = check_feasibility(p)
+        count = ""
+        started = time.perf_counter()
+        if feas:
+            try:
+                dec = build_arcs(p)
+                count = len(dec.factors)
+            except (ConstructionBugError, ArcsUnavailable, UnsupportedBlockError) as exc:
+                failures += 1
+                count = f"FAILED: {exc}"
+        millis = round((time.perf_counter() - started) * 1000)
+        rows.append([p.lam, p.k, p.u, p.g, _VERDICT_LABEL[feas.verdict], count, millis])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["lambda", "k", "u", "g", "verdict", "factors", "millis"])

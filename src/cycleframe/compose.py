@@ -15,8 +15,7 @@ from __future__ import annotations
 from . import blocks
 from .graphs import (ConstructionBugError, Decomposition, ExceptionalCase,
                      MultiGraph, ParameterError, PartialFactor,
-                     assemble_from_distances, blow_up, edge_key, tensor_complete,
-                     trace_two_regular)
+                     assemble_from_distances, blow_up, tensor_complete)
 from .verify import check_partition
 
 
@@ -58,8 +57,7 @@ def partial_ck_factorization_kplus1_times_t(k: int, t: int) -> Decomposition:
             starts_with_r = hub or index % 2 == 1
             first, second = (r, t - r) if starts_with_r else (t - r, r)
             dv = [first if pos % 2 == 0 else second for pos in range(k)]
-            pf = assemble_from_distances(cyc, dv, t)
-            factors.append(PartialFactor.build(k, missing, pf.cycles))
+            factors.append(PartialFactor.build(k, missing, assemble_from_distances(cyc, dv, t)))
     return _finish(host, factors, "kplus1_alternating_threading")
 
 
@@ -73,18 +71,14 @@ def _cycle_times_t_half(part_cycle, slot_ham, use_reversed: bool):
     Between consecutive slot classes the part index steps by +1 on even slot
     positions and -1 on odd ones (reversed swaps the two), which closes into
     a single cycle through every vertex because the slot cycle has odd
-    length.
+    length.  The steps are threaded along the slot cycle over Z_k, then
+    (slot, x) is placed at (part_cycle[x], slot).
     """
     k = len(part_cycle)
     t = len(slot_ham)
-    edges = []
-    for j in range(t):
-        step = 1 if (j % 2 == 0) != use_reversed else k - 1
-        for x in range(k):
-            v = (part_cycle[x], slot_ham[j])
-            w = (part_cycle[(x + step) % k], slot_ham[(j + 1) % t])
-            edges.append(edge_key(v, w))
-    cycles = trace_two_regular(edges)
+    steps = [1 if (j % 2 == 0) != use_reversed else -1 for j in range(t)]
+    cycles = [tuple((part_cycle[x], s) for s, x in cyc)
+              for cyc in assemble_from_distances(slot_ham, steps, k)]
     if len(cycles) != 1 or len(cycles[0]) != k * t:
         raise ConstructionBugError("half factor is not a single Hamilton cycle")
     return cycles
@@ -140,10 +134,10 @@ def triangle_factorization_k3_times_ky(y: int) -> list[PartialFactor]:
         raise ParameterError(f"triangle factorization needs odd y >= 3, got {y}")
     factors = []
     for j in range(1, y):
-        pf = assemble_from_distances((0, 1, 2), (j, j, (-2 * j) % y), y)
-        if pf.cycle_length != 3:
+        cycles = assemble_from_distances((0, 1, 2), (j, j, -2 * j), y)
+        if any(len(c) != 3 for c in cycles):
             raise ConstructionBugError("triangle row produced wrong cycle length")
-        factors.append(PartialFactor.build(3, None, pf.cycles))
+        factors.append(PartialFactor.build(3, None, cycles))
     return factors
 
 
@@ -159,8 +153,7 @@ def _k3_times_kk_base(k: int) -> list[PartialFactor]:
     for ham in hams:
         for r in (1, 2):
             dv = [r if pos % 2 == 0 else 3 - r for pos in range(k)]
-            pf = assemble_from_distances(ham, dv, 3)
-            transposed.append(PartialFactor.build(k, None, pf.cycles))
+            transposed.append(PartialFactor.build(k, None, assemble_from_distances(ham, dv, 3)))
     transposed.extend(blocks.cubic_times_k3_factorization(k, cubic).decomposition.factors)
     return [transpose_factor(f) for f in transposed]
 

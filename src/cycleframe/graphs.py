@@ -141,11 +141,13 @@ class Decomposition:
             raise ParameterError("provenance must carry one tag per factor")
 
 
-def assemble_from_distances(part_cycle, dv, t: int) -> PartialFactor:
+def assemble_from_distances(part_cycle, dv, t: int) -> list[Cycle]:
     """Union of distance matchings threaded around a cycle of parts.
 
     dv[j] is the slot jump from part_cycle[j] to part_cycle[j+1]; the union is
-    2-regular and splits into cycles of length r*t/gcd(sum(dv), t).
+    2-regular and splits into cycles of length r*t/gcd(sum(dv), t).  Each
+    cycle is traced from (part_cycle[0], s) for the least unvisited slot s;
+    callers wrap them with `PartialFactor.build` at the length they expect.
     """
     parts = tuple(part_cycle)
     dv = tuple(d % t for d in dv)
@@ -170,9 +172,7 @@ def assemble_from_distances(part_cycle, dv, t: int) -> PartialFactor:
             raise DegenerateCycleError(
                 f"distance vector {dv} on part size {t} closes after {len(cyc)} steps")
         cycles.append(tuple(cyc))
-    lengths = {len(c) for c in cycles}
-    assert len(lengths) == 1, "distance assembly must give equal cycle lengths"
-    return PartialFactor.build(lengths.pop(), None, cycles)
+    return cycles
 
 
 def blow_up(outer, inner: PartialFactor, size: int, cycle_length: int,

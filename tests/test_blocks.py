@@ -369,3 +369,13 @@ def test_distance_array_residue_obstruction_fails_fast():
 def test_rotational_base_parity_obstruction():
     with pytest.raises(graphs.UnsupportedBlockError):
         search.rotational_base(10, 3, use_inf=False)
+
+
+def test_unreadable_cache_entry_is_a_miss(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
+    blocks._cache_path("near_cycle_ku2", (3, 4)).mkdir(parents=True)
+    result = blocks.near_cycle_factorization_doubled(3, 4)
+    assert result.strategy == blocks.SEARCH
+    assert check_partition(graphs.complete_graph(4, 2), result.decomposition.factors)
+    assert list(cache.glob("*.tmp")) == []

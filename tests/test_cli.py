@@ -130,6 +130,14 @@ def test_table_empty_range(tmp_path, capsys):
     assert out.read_text().strip() == "lambda,k,u,g,verdict,factors,millis"
 
 
+@pytest.mark.parametrize("flag, value", [("--ks", "5"), ("--lambdas", "0"), ("--ks", "x")])
+def test_table_bad_grid_exits_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "grid.csv"
+    assert run(["table", flag, value, "--max-u", "5", "--max-g", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bad_arguments_exit_one(tmp_path, capsys):
     assert run(["build", "--lambda", "1", "--k", "5", "--u", "5", "--g", "3",
                 "-o", str(tmp_path / "x.json")]) == 1

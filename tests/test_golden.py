@@ -3,9 +3,12 @@
 Each digest is the SHA-256 of the canonical JSON of one cell, recorded from
 a cold-cache build.  The cells cover every case route, the x > 2 hub-and-
 groups assembly of cases a and b, the searched partial 1-factorization,
-lambda stacking and every call site of `graphs.blow_up` (case e with x > 2,
-odd y of K_3 x K_ky, both branches of `cycle_times_blocked`); a refactor
-that changes any output byte fails here.
+lambda stacking, every call site of `graphs.blow_up` (case e with x > 2,
+odd y of K_3 x K_ky, both branches of `cycle_times_blocked`) and every walk
+threaded by `graphs.assemble_from_distances` (the K_2 twist of cases d, e
+and the remark, the bipartite distance pairs, the Hamilton halves and the
+tripartite doubling of (2, 8, 4, 24)); a refactor that changes any output
+byte fails here.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ GOLDEN = {
     (2, 6, 4, 18): "370b8150a4d62ac080062c72c1b1d3084e38a5266f680b95f962a71fa831d586",
     (2, 6, 4, 8): "0c303c3d0c7098264cb464ad76eac614a9f4bcd6d50bd278f85f19ddf1dbb67e",
     (2, 6, 4, 4): "c5530895a64ed4796e1873841a1286a87f4ade383766fd67921e550d2baa46d2",
+    (2, 8, 4, 24): "dee89c87cb185f30ee214d1580794bfaa0ac2fd86aa9a39d62ff2766dcf2fec8",
 }
 
 

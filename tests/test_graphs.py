@@ -111,11 +111,11 @@ def trace_lengths(part_cycle, dv, t):
 
 
 def test_assemble_from_distances_examples():
-    pf = graphs.assemble_from_distances((0, 1, 2, 3), (1, 2, 1, 2), 3)
-    assert pf.cycle_length == 4 and len(pf.cycles) == 3
-    assert len({v for c in pf.cycles for v in c}) == 12
-    pf = graphs.assemble_from_distances((0, 1, 2, 3), (1, 1, 1, 1), 3)
-    assert pf.cycle_length == 12 and len(pf.cycles) == 1
+    cycles = graphs.assemble_from_distances((0, 1, 2, 3), (1, 2, 1, 2), 3)
+    assert {len(c) for c in cycles} == {4} and len(cycles) == 3
+    assert len({v for c in cycles for v in c}) == 12
+    cycles = graphs.assemble_from_distances((0, 1, 2, 3), (1, 1, 1, 1), 3)
+    assert {len(c) for c in cycles} == {12} and len(cycles) == 1
     with pytest.raises(graphs.DegenerateCycleError):
         graphs.assemble_from_distances((0, 1), (0, 0), 2)
 
@@ -127,12 +127,12 @@ def test_assemble_cycle_length_law(r, t, data):
     dv = tuple(data.draw(st.integers(0, t - 1)) for _ in range(r))
     want = r * t // math.gcd(sum(dv) % t, t)
     try:
-        pf = graphs.assemble_from_distances(tuple(range(r)), dv, t)
+        cycles = graphs.assemble_from_distances(tuple(range(r)), dv, t)
     except graphs.DegenerateCycleError:
         assert want < 3
         return
-    assert pf.cycle_length == want
-    assert len(pf.cycles) * want == r * t
+    assert {len(c) for c in cycles} == {want}
+    assert len(cycles) * want == r * t
 
 
 def test_assemble_from_distances_matches_trace_oracle():
@@ -144,15 +144,15 @@ def test_assemble_from_distances_matches_trace_oracle():
                 expected = trace_lengths(tuple(range(r)), dv, t)
                 want = r * t // math.gcd(sum(dv) % t or t, t)
                 try:
-                    pf = graphs.assemble_from_distances(tuple(range(r)), dv, t)
+                    cycles = graphs.assemble_from_distances(tuple(range(r)), dv, t)
                 except graphs.DegenerateCycleError:
                     assert min(expected) < 3
                     continue
-                assert pf.cycle_length == want
-                assert sorted(len(c) for c in pf.cycles) == sorted(expected)
+                assert {len(c) for c in cycles} == {want}
+                assert sorted(len(c) for c in cycles) == sorted(expected)
                 # 2-regularity across the whole span
                 degree = Counter()
-                for e in edge_multiset([pf]).elements():
+                for e in edge_multiset([graphs.PartialFactor.build(want, None, cycles)]).elements():
                     degree[e[0]] += 1
                     degree[e[1]] += 1
                 assert set(degree.values()) == {2}
@@ -194,7 +194,8 @@ def test_blow_up_examples():
 
 
 def test_blow_up_one_slot_cycles_relabel_parts_only():
-    inner = graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3)
+    inner = graphs.PartialFactor.build(
+        3, None, graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3))
     out = graphs.blow_up([[(7, 0), (4, 0), (9, 0)]], inner, 5, 3, hole=2)
     parts = (7, 4, 9)
     assert out == graphs.PartialFactor.build(
@@ -202,7 +203,8 @@ def test_blow_up_one_slot_cycles_relabel_parts_only():
 
 
 def test_blow_up_copies_shift_slots_by_block():
-    inner = graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3)
+    inner = graphs.PartialFactor.build(
+        3, None, graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3))
     copies = [[(p, b) for p in range(3)] for b in range(2)]
     out = graphs.blow_up(copies, inner, 3, 3)
     assert out.hole is None and len(out.cycles) == 2 * len(inner.cycles)
@@ -226,9 +228,10 @@ def test_trace_two_regular_starts_each_cycle_at_its_least_vertex():
 
 
 def test_partial_factor_edges_and_span():
-    pf = graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3)
-    assert pf.cycle_length == 3 and len(pf.cycles) == 3  # jump sum 3 = 0 (mod 3)
+    pf = graphs.PartialFactor.build(
+        3, None, graphs.assemble_from_distances((0, 1, 2), (1, 1, 1), 3))
+    assert {len(c) for c in pf.cycles} == {3} and len(pf.cycles) == 3  # jump sum 3 = 0 (mod 3)
     assert len(edge_multiset([pf])) == 9
     assert {v for c in pf.cycles for v in c} == {(p, s) for p in range(3) for s in range(3)}
-    pf = graphs.assemble_from_distances((0, 1, 2), (1, 1, 2), 3)
-    assert pf.cycle_length == 9 and len(pf.cycles) == 1  # jump sum 4, coprime to 3
+    cycles = graphs.assemble_from_distances((0, 1, 2), (1, 1, 2), 3)
+    assert {len(c) for c in cycles} == {9} and len(cycles) == 1  # jump sum 4, coprime to 3
