@@ -364,56 +364,17 @@ def _hub_and_groups(r: int, t: int, u: int, cycle_length: int,
                     inner, abstract) -> list[PartialFactor]:
     """Partial C_L-factorization of K_u x K_t for u = rx+1 (x = 1 or x > 2).
 
-    `inner(r, t)` is a partial factorization of K_{r+1} x K_t, the answer
-    for x = 1.  For x > 2 each of the x part groups carries a copy of it
-    around the shared hub part u-1, and a blown partial 1-factorization
-    links the groups through `abstract(r, t)`, a factorization of C_r x K_t.
-    Each link factor inflates a K_2 matching edge to a complete bipartite
-    block of size r/2 carrying a C_r-factorization.  Group factors pair with
-    link factors hole by hole; the factors of all groups missing the hub
-    merge.
+    `inner(r, t)`, a partial factorization of K_{r+1} x K_t, is the answer
+    for x = 1; larger x spreads it by `blocks.hub_and_groups`, linked by the
+    C_r-factors of K_{r/2,r/2} and `abstract(r, t)` on C_r x K_t.
     """
-    x = (u - 1) // r
-    if x == 2:
-        raise ParameterError("x = 2 belongs to the open exception family")
-    if x == 1:
-        return list(inner(r, t).factors)
-    matchings = blocks.partial_one_factorization_multipartite(x, 2)
-    abstract_factors = abstract(r, t).factors
     inner_factors = inner(r, t).factors
+    if u == r + 1:
+        return list(inner_factors)
     half = r // 2
     bip = blocks.ck_factorization_bipartite(half, half, r).decomposition.factors
-    hub = u - 1
-    per_hole = (t - 1) // 2
-    factors = []
-    hub_batches: list[list[PartialFactor]] = [[] for _ in range(per_hole)]
-    for i in range(x):
-        linking = []
-        for mf in (m for m in matchings if m.missing == i):
-            for bf in bip:
-                link = [tuple(((a * r + ha * half + z) if side == 0
-                               else (b * r + hb * half + z), 0) for (side, z) in cyc)
-                        for ((a, ha), (b, hb)) in mf.edges for cyc in bf.cycles]
-                linking.extend(blow_up(link, f, t, cycle_length) for f in abstract_factors)
-        part_map = [i * r + w for w in range(r)] + [hub]
-        group = []
-        hub_here = []
-        for f in inner_factors:
-            mapped = blow_up([[(q, 0) for q in part_map]], f, 1, cycle_length, part_map[f.hole])
-            (hub_here if mapped.hole == hub else group).append(mapped)
-        for idx, f in enumerate(hub_here):
-            hub_batches[idx].append(f)
-        if len(group) != len(linking) or len(hub_here) != per_hole:
-            raise ConstructionBugError("hub-and-groups pairing is out of balance")
-        for gf, lf in zip(group, linking):
-            factors.append(PartialFactor.build(cycle_length, gf.hole,
-                                               list(gf.cycles) + list(lf.cycles)))
-    for batch in hub_batches:
-        cycles = []
-        for f in batch:
-            cycles.extend(f.cycles)
-        factors.append(PartialFactor.build(cycle_length, hub, cycles))
-    return factors
+    return blocks.hub_and_groups(r, t, u, cycle_length, inner_factors, bip,
+                                 abstract(r, t).factors)
 
 
 def _cycle_times_complete(r: int, t: int) -> Decomposition:

@@ -2,8 +2,12 @@
 
 Each provider returns its factorization as a verified decomposition of an
 explicit host graph.  Where a closed form is classical (rotational near
-1-factorizations, Walecki cycles, distance threading) it is built directly;
-where only existence is cited, a deterministic bounded backtracking search
+1-factorizations, Walecki cycles, distance threading, the hub-and-groups
+spread of K_{r+1} blocks, mirrored rotational bases) it is built directly;
+this covers the doubled complete blocks of even cycle length, though the
+near ones with u = 2L+1 first try a short search so that the bases it finds
+keep their bytes.
+Where only existence is cited, a deterministic bounded backtracking search
 fills the gap and the result is cached on disk keyed by the request.
 """
 
@@ -68,7 +72,8 @@ def _cached(family: str, params: tuple, load, fresh, dump):
         return load(json.loads(path.read_text(encoding="ascii")))
     except OSError:
         pass  # missing or unreadable: a miss
-    except (ValueError, KeyError, TypeError, IndexError, ConstructionBugError):
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError,
+            ConstructionBugError):
         path.unlink(missing_ok=True)
     value = fresh()
     try:
@@ -313,25 +318,137 @@ def kplus1_near_factor_cycles(k: int):
     return entries
 
 
+_MIRROR_AFTER = 10_000  # search nodes before an even x = 2 near block is mirrored
+
+
+def _translates(base, n: int) -> list[list[tuple]]:
+    """The n translates of a rotational base over Z_n, translate j missing j."""
+    return [[tuple(((v + j) % n, 0) for v in cyc) for cyc in base] for j in range(n)]
+
+
+def _mirrored_base(cycle_len: int) -> list[tuple[int, ...]]:
+    """Rotational base of a near C_L-factorization of K_{2L+1}(2), even L.
+
+    The L-cycle A visits 1, .., L signed so that it holds one vertex of each
+    pair {b, -b} of Z_{2L+1}: b is positive iff b is odd below L/2 or even
+    from L/2 on.  Steps between opposite signs have class 2b+1, and over b
+    = 1..L-1 these would be the classes 2..L once each.  The two equal-sign
+    steps are (L/2-1, L/2), of class 1 where 2b+1 = L-1, and the closing
+    (L, 1), of class L-1.  So A uses every class once, and A with -A
+    partitions the nonzero residues using each class twice.
+    """
+    n = 2 * cycle_len + 1
+    half = cycle_len // 2
+    cycle = tuple(b if (b % 2 == 1) == (b < half) else n - b for b in range(1, cycle_len + 1))
+    return [cycle, tuple(n - v for v in cycle)]
+
+
 def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
-    """Near C_L-factorization of K_u(2): u factors, factor i missing vertex i."""
+    """Near C_L-factorization of K_u(2) into u factors, factor i missing vertex i.
+
+    Even L: u = L+1 is the zigzag; u = Lx+1 with x > 2 spreads the zigzag
+    over x groups by `hub_and_groups`, each group link a Hamilton cycle of
+    K_{L/2,L/2}(2).  Otherwise the factors are the translates of a
+    rotational base over Z_u.  Odd L searches for one; for x = 2 a search
+    of _MIRROR_AFTER nodes keeps the bases it finds, so the blocks it built
+    before are unchanged, and past it `_mirrored_base` gives one outright.
+    """
     if cycle_len < 3:
         raise ParameterError(f"cycle length must be >= 3, got {cycle_len}")
     if u < cycle_len + 1 or (u - 1) % cycle_len != 0:
         raise ParameterError(
             f"near C_{cycle_len}-factorization of K_u(2) needs u = 1 (mod {cycle_len}), got {u}")
     host = complete_graph(u, 2)
-    if u == cycle_len + 1 and cycle_len % 2 == 0:
-        factors = [_as_factor(cycle_len, missing, [cyc])
-                   for missing, cyc in kplus1_near_factor_cycles(cycle_len)]
-        return _finish(host, factors, EXPLICIT, "near_cycle_zigzag")
+    x = (u - 1) // cycle_len
+    if cycle_len % 2 == 0 and x != 2:
+        inner = [_as_factor(cycle_len, missing, [cyc])
+                 for missing, cyc in kplus1_near_factor_cycles(cycle_len)]
+        if x == 1:
+            return _finish(host, inner, EXPLICIT, "near_cycle_zigzag")
+        identity = [_as_factor(cycle_len, None, [range(cycle_len)])]
+        factors = hub_and_groups(cycle_len, 1, u, cycle_len, inner,
+                                 _doubled_bipartite_hamiltons(cycle_len // 2), identity)
+        return _finish(host, sorted(factors, key=lambda f: f.hole), EXPLICIT,
+                       "near_cycle_hub_and_groups")
 
     def rotational():
-        base = search.rotational_base(u, cycle_len, use_inf=False)
-        return [[tuple(((v + j) % u, 0) for v in cyc) for cyc in base] for j in range(u)]
+        if cycle_len % 2 == 1:
+            return _translates(search.rotational_base(u, cycle_len), u)
+        try:
+            base = search.rotational_base(u, cycle_len, budget=_MIRROR_AFTER)
+        except search.UnsupportedBlockError:
+            base = _mirrored_base(cycle_len)
+        return _translates(base, u)
 
     return _searched("near_cycle_ku2", (cycle_len, u), host, cycle_len, range(u),
                      "near_cycle_rotational", rotational)
+
+
+# ---------------------------------------------------------------------------
+# Hub-and-groups spreads of K_{r+1} blocks
+
+
+def _doubled_bipartite_hamiltons(n: int) -> list[PartialFactor]:
+    """K_{n,n}(2) as n Hamilton cycles: cycle d steps d forward, d+1 back."""
+    return [PartialFactor.build(2 * n, None, assemble_from_distances((0, 1), (d, -(d + 1)), n))
+            for d in range(n)]
+
+
+def _on_matching(edges, link: PartialFactor, r: int) -> list[tuple]:
+    """The cycles of `link`, a factor of K_{r/2,r/2}, placed on every matching
+    edge ((a, ha), (b, hb)) of half-groups: (0, z) goes to vertex
+    a*r + ha*r/2 + z and (1, z) to vertex b*r + hb*r/2 + z."""
+    half = r // 2
+    return [tuple(((a * r + ha * half + z) if side == 0 else (b * r + hb * half + z), 0)
+                  for side, z in cyc)
+            for ((a, ha), (b, hb)) in edges for cyc in link.cycles]
+
+
+def hub_and_groups(r: int, t: int, u: int, cycle_length: int,
+                   inner, links, abstract) -> list[PartialFactor]:
+    """Partial C_L-factorization over u = rx+1 parts of t slots, x > 2.
+
+    `inner` partially factors the same host on r+1 parts around the hub
+    part r: K_{r+1} x K_t for cases a and b, K_{r+1}(2) with t = 1 for the
+    near block.  Each of the x groups of r parts carries a copy of it around
+    the shared hub part u-1.  A blown partial 1-factorization of K_x (x) K̄_2
+    links the groups: each matching edge joins two half-groups and carries
+    every factor of `links`, the C_r-factors of K_{r/2,r/2} (doubled for the
+    near block), whose cycles of parts inflate through every factor of
+    `abstract`: a factorization of C_r x K_t, or the identity C_r when
+    t = 1.  Group factors pair with link factors hole by hole; the factors
+    of all groups that miss the hub merge, as many as `inner` has.
+    """
+    x = (u - 1) // r
+    if x < 3:
+        raise ParameterError(f"hub-and-groups needs x > 2 part groups, got x = {x}")
+    matchings = partial_one_factorization_multipartite(x, 2)
+    hub = u - 1
+    per_hole = sum(f.hole == r for f in inner)
+    factors = []
+    hub_batches: list[list[PartialFactor]] = [[] for _ in range(per_hole)]
+    for i in range(x):
+        linking = []
+        for mf in (m for m in matchings if m.missing == i):
+            for lf in links:
+                link = _on_matching(mf.edges, lf, r)
+                linking.extend(blow_up(link, f, t, cycle_length) for f in abstract)
+        part_map = [i * r + w for w in range(r)] + [hub]
+        group = []
+        hub_here = []
+        for f in inner:
+            mapped = blow_up([[(q, 0) for q in part_map]], f, 1, cycle_length, part_map[f.hole])
+            (hub_here if mapped.hole == hub else group).append(mapped)
+        for idx, f in enumerate(hub_here):
+            hub_batches[idx].append(f)
+        if len(group) != len(linking) or len(hub_here) != per_hole:
+            raise ConstructionBugError("hub-and-groups pairing is out of balance")
+        for gf, lf in zip(group, linking):
+            factors.append(PartialFactor.build(cycle_length, gf.hole,
+                                               list(gf.cycles) + list(lf.cycles)))
+    factors.extend(PartialFactor.build(cycle_length, hub, [c for f in batch for c in f.cycles])
+                   for batch in hub_batches)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +456,16 @@ def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
 
 
 def ck_factorization_complete_doubled(m: int, u: int) -> BlockResult:
-    """C_{2m}-factorization of K_u(2) into u-1 factors (u = 0 mod 2m)."""
+    """C_{2m}-factorization of K_u(2) into u-1 factors (u = 2my).
+
+    Each group of 2m vertices carries the Walecki double cover, and factor j
+    of every group merges into one.  For y > 1 a 1-factorization of K_{2y}
+    links the 2y half-groups of m vertices: the rotational near
+    1-factorization of K_{2y-1} plus ∞, labelled so that its factor 0 pairs
+    the two halves of each group.  The Walecki cycles cover that factor's
+    edges, so it is dropped; each edge of the others carries the m Hamilton
+    cycles of K_{m,m}(2).
+    """
     cycle_len = 2 * m
     if m < 2:
         raise ParameterError(f"half cycle length must be >= 2, got {m}")
@@ -347,18 +473,20 @@ def ck_factorization_complete_doubled(m: int, u: int) -> BlockResult:
         raise ParameterError(
             f"C_{cycle_len}-factorization of K_u(2) needs u = 0 (mod {cycle_len}), got {u}")
     host = complete_graph(u, 2)
-    if u == cycle_len:
-        cycles = walecki_hamilton_cycles(u, u - 1)
-        factors = [_as_factor(cycle_len, None, [cyc]) for cyc in cycles]
-        return _finish(host, factors, EXPLICIT, "walecki_double_cover")
+    y = u // cycle_len
+    factors = [PartialFactor.build(cycle_len, None, [tuple((grp * cycle_len + v, 0) for v in cyc)
+                                                     for grp in range(y)])
+               for cyc in walecki_hamilton_cycles(cycle_len, cycle_len - 1)]
+    if y > 1:
+        def half(v: int) -> tuple[int, int]:  # ∞ = 2y-1 is half 1 of group 0
+            return (v, 0) if v < y else (2 * y - 1 - v, 1)
 
-    def rotational():
-        base = search.rotational_base(u - 1, cycle_len, use_inf=True)
-        return [[tuple((u - 1 if v == search.INF else (v + j) % (u - 1), 0) for v in cyc)
-                 for cyc in base] for j in range(u - 1)]
-
-    return _searched("ck_factor_ku2", (cycle_len, u), host, cycle_len, [None] * (u - 1),
-                     "complete_doubled_rotational", rotational)
+        links = _doubled_bipartite_hamiltons(m)
+        for mf in near_one_factorization(2 * y - 1)[1:]:
+            edges = [(half(a), half(b)) for a, b in mf.edges + ((mf.missing, 2 * y - 1),)]
+            factors.extend(PartialFactor.build(cycle_len, None, _on_matching(edges, lf, cycle_len))
+                           for lf in links)
+    return _finish(host, factors, EXPLICIT, "walecki_groups")
 
 
 def cs_factorization_complete_odd(s: int, g: int) -> BlockResult:

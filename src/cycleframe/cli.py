@@ -101,7 +101,7 @@ def cmd_verify(args) -> int:
         with open(args.path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         params, dec = serialize.decomposition_from_obj(obj)
-    except (OSError, ValueError, KeyError, TypeError, ParameterError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, ParameterError) as exc:
         print(f"error: cannot read decomposition: {exc}", file=sys.stderr)
         return EXIT_ERROR
     result = verify_arcs(dec, params)

@@ -5,8 +5,8 @@ Three engines:
 * distance arrays: rows of slot jumps threaded around a cycle of parts,
   one row per factor, every column a permutation of the allowed jumps and
   every row sum constrained by the gcd that fixes the resulting cycle length;
-* rotational bases: a starter factor over Z_n (+ optional fixed vertex)
-  whose translates tile a doubled complete graph;
+* rotational bases: a starter near factor over Z_n whose translates tile
+  the doubled complete graph K_n(2), each translate missing one vertex;
 * edge-level factor cover: partition an explicit edge multiset into
   2-factors with prescribed spans and cycle length.
 
@@ -23,8 +23,6 @@ from .graphs import (DegenerateCycleError, Edge, UnsupportedBlockError, Vertex,
                      edge_key, trace_two_regular)
 
 DEFAULT_BUDGET = 10_000_000
-
-INF = -1  # fixed vertex label for rotational bases
 
 
 class _Budget:
@@ -159,75 +157,55 @@ def _difference_class(a: int, b: int, n: int) -> int:
     return min(d, n - d)
 
 
-def rotational_base(n: int, cycle_len: int, use_inf: bool,
+def rotational_base(n: int, cycle_len: int,
                     budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """Starter cycles whose Z_n translates tile a doubled complete graph.
+    """Starter cycles whose Z_n translates tile K_n(2) less one vertex each.
 
-    Without INF: cycles partition {1..n-1} and use every difference class
-    twice (the half class once when n is even); translating by all of Z_n
-    yields a near-cycle-factorization of K_n(2), translate j missing j.
-
-    With INF: cycles partition {0..n-1, INF} and use every finite class
-    twice; translating by Z_n (INF fixed) yields a cycle-factorization of
-    K_{n+1}(2) into n full 2-factors.
+    The cycles partition {1..n-1} and use every difference class twice (the
+    half class once when n is even); translating by all of Z_n yields a
+    near-cycle-factorization of K_n(2), translate j missing j.
     """
     b = _Budget(budget)
-    verts = sorted(range(0 if use_inf else 1, n)) + ([INF] if use_inf else [])
     half = None if n % 2 == 1 else n // 2
     quota = Counter({c: 2 for c in range(1, (n + 1) // 2 if half is None else half)})
     if half is not None:
-        quota[half] = 1 if not use_inf else 2
-    if n % 2 == 0:
+        quota[half] = 1
         # every cycle closes mod the even n, so it uses evenly many odd
         # differences; an odd total of odd-class slots can never be placed
         odd_slots = sum(q for c, q in quota.items() if c % 2 == 1)
         if odd_slots % 2 == 1:
             raise UnsupportedBlockError(
                 f"parity obstruction: no rotational base for n={n}, cycle_len={cycle_len}")
-    # With INF present n is odd in every caller, so the half class is moot;
-    # guard anyway.
-    remaining = set(verts)
+    remaining = set(range(1, n))
     cycles: list[tuple[int, ...]] = []
-
-    def cls(a: int, c: int) -> int | None:
-        if a == INF or c == INF:
-            return None
-        return _difference_class(a, c, n)
 
     def extend(path: list[int], first: int) -> bool:
         b.spend()
         if len(path) == cycle_len:
-            c = cls(path[-1], first)
-            if c is not None:
-                if quota[c] == 0:
-                    return False
-                quota[c] -= 1
+            c = _difference_class(path[-1], first, n)
+            if quota[c] == 0:
+                return False
+            quota[c] -= 1
             if close_cycle(path):
                 return True
-            if c is not None:
-                quota[c] += 1
+            quota[c] += 1
             return False
         prev = path[-1]
         # scarce difference classes first: failing assignments die sooner
-        def rank(x):
-            c = cls(prev, x)
-            return (quota[c] if c is not None else 0, x)
-        for v in sorted(remaining, key=rank):
+        for v in sorted(remaining, key=lambda x: (quota[_difference_class(prev, x, n)], x)):
             if len(path) == cycle_len - 1 and len(path) >= 2 and v < path[1]:
                 continue  # canonical direction: second vertex < last vertex
-            c = cls(prev, v)
-            if c is not None:
-                if quota[c] == 0:
-                    continue
-                quota[c] -= 1
+            c = _difference_class(prev, v, n)
+            if quota[c] == 0:
+                continue
+            quota[c] -= 1
             remaining.discard(v)
             path.append(v)
             if extend(path, first):
                 return True
             path.pop()
             remaining.add(v)
-            if c is not None:
-                quota[c] += 1
+            quota[c] += 1
         return False
 
     def close_cycle(path: list[int]) -> bool:
@@ -236,7 +214,7 @@ def rotational_base(n: int, cycle_len: int, use_inf: bool,
             if all(q == 0 for q in quota.values()):
                 return True
         else:
-            start = min(v for v in remaining if v != INF) if remaining != {INF} else INF
+            start = min(remaining)
             remaining.discard(start)
             if extend([start], start):
                 return True
@@ -244,12 +222,11 @@ def rotational_base(n: int, cycle_len: int, use_inf: bool,
         cycles.pop()
         return False
 
-    start = min(v for v in remaining if v != INF)
+    start = min(remaining)
     remaining.discard(start)
     if extend([start], start):
         return cycles
-    raise UnsupportedBlockError(
-        f"no rotational base for n={n}, cycle_len={cycle_len}, inf={use_inf}")
+    raise UnsupportedBlockError(f"no rotational base for n={n}, cycle_len={cycle_len}")
 
 
 def decompose_into_factors(pool: Counter[Edge],

@@ -147,6 +147,58 @@ def test_near_c2k_factorization_rejects_wrong_congruence():
         blocks.near_cycle_factorization_doubled(4, 7)
 
 
+def test_even_doubled_blocks_never_search(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
+    # the searched matchings that link the groups for even x are a block of their own
+    blocks.partial_one_factorization_multipartite(4, 2)
+    before = sorted(cache.iterdir())
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a closed-form block reached the search")
+
+    monkeypatch.setattr(search, "rotational_base", no_search)
+    monkeypatch.setattr(search, "decompose_into_factors", no_search)
+    for cycle_len in (4, 6, 8, 10, 12):
+        for x in (3, 4, 5):
+            u = cycle_len * x + 1
+            result = blocks.near_cycle_factorization_doubled(cycle_len, u)
+            assert result.strategy == blocks.EXPLICIT
+            assert [f.hole for f in result.decomposition.factors] == list(range(u))
+    for m in range(2, 7):
+        for y in (2, 3, 4):
+            result = blocks.ck_factorization_complete_doubled(m, 2 * m * y)
+            assert result.strategy == blocks.EXPLICIT
+    assert sorted(cache.iterdir()) == before
+
+
+@pytest.mark.parametrize("cycle_len", [4, 6, 8, 12, 16, 22, 40])
+def test_mirrored_base_uses_each_difference_class_once(cycle_len):
+    n = 2 * cycle_len + 1
+    cycle, mirror = blocks._mirrored_base(cycle_len)
+    assert mirror == tuple(n - v for v in cycle)
+    assert sorted(min(v, n - v) for v in cycle) == list(range(1, cycle_len + 1))
+    steps = [(cycle[(i + 1) % cycle_len] - cycle[i]) % n for i in range(cycle_len)]
+    assert sorted(min(d, n - d) for d in steps) == list(range(1, cycle_len + 1))
+
+
+def test_x2_near_block_past_the_short_search_is_mirrored(tmp_path, monkeypatch):
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    budgets = []
+    real = search.rotational_base
+
+    def spy(n, cycle_len, budget=search.DEFAULT_BUDGET):
+        budgets.append(budget)
+        return real(n, cycle_len, budget)
+
+    monkeypatch.setattr(search, "rotational_base", spy)
+    factors = blocks.near_cycle_factorization_doubled(16, 33).decomposition.factors
+    assert budgets == [blocks._MIRROR_AFTER]
+    assert [f.hole for f in factors] == list(range(33))
+    base = [tuple((v, 0) for v in cyc) for cyc in blocks._mirrored_base(16)]
+    assert factors[0] == graphs.PartialFactor.build(16, 0, base)
+
+
 def test_near_cm_triangles_of_k4():
     result = blocks.near_cycle_factorization_doubled(3, 4)
     dec = result.decomposition
@@ -368,7 +420,7 @@ def test_distance_array_residue_obstruction_fails_fast():
 
 def test_rotational_base_parity_obstruction():
     with pytest.raises(graphs.UnsupportedBlockError):
-        search.rotational_base(10, 3, use_inf=False)
+        search.rotational_base(10, 3)
 
 
 def test_unreadable_cache_entry_is_a_miss(tmp_path, monkeypatch):

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cycleframe
 from cycleframe import cli, serialize
 from cycleframe.arcs import Params, build_arcs
+from cycleframe.verify import verify_arcs
 
 
 def run(argv):
@@ -71,6 +77,15 @@ def test_verify_rejects_oversized_declaration_quickly(tmp_path, capsys):
 
 def test_verify_empty_cycle_is_unreadable(tmp_path, capsys):
     assert run(["verify", _claim(tmp_path, 2, 4, 5, 2, [{"hole": 0, "cycles": [[]]}])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read decomposition") and "Traceback" not in err
+
+
+def test_verify_deeply_nested_json_is_unreadable(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"params": {"lambda": 2, "k": 4, "u": 5, "g": 2}, "factors": '
+                    + "[" * 100_000)
+    assert run(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read decomposition") and "Traceback" not in err
 
@@ -193,8 +208,9 @@ def _truncate(entry):
 @pytest.mark.parametrize("cell,family,corrupt", [
     ((2, 4, 9, 2), "near_cycle_ku2", _swap_two_vertices),
     ((2, 4, 9, 2), "near_cycle_ku2", lambda entry: entry.write_text("[]")),
+    ((2, 4, 9, 2), "near_cycle_ku2", lambda entry: entry.write_text("[" * 100_000)),
     ((1, 4, 17, 3), "partial_one_factor", _truncate),
-], ids=["swapped-vertices", "empty-list", "truncated-matchings"])
+], ids=["swapped-vertices", "empty-list", "deeply-nested", "truncated-matchings"])
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, monkeypatch, cell, family, corrupt):
     cache = tmp_path / "cache"
     monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
@@ -207,3 +223,20 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, monkeypatch, cell, family, cor
     assert run(argv + ["-o", str(tmp_path / "second.json")]) == 0
     assert entry.read_bytes() == good
     assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+@pytest.mark.parametrize("cell", [(2, 6, 31, 8), (2, 10, 31, 13), (2, 4, 29, 2),
+                                  (3, 4, 29, 3), (2, 8, 12, 24), (2, 16, 33, 4)],
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_formerly_stalled_cell_builds_cold_in_bounded_time(tmp_path, cell):
+    # Searching the doubled complete blocks of these cells takes minutes; the
+    # timeout turns a fall back to that search into a failure, not a stall.
+    env = dict(os.environ, CYCLEFRAME_CACHE=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(cycleframe.__file__).resolve().parents[1]))
+    out = tmp_path / "out.json"
+    argv = [sys.executable, "-m", "cycleframe.cli", "build", "-o", str(out)]
+    argv += [x for flag, v in zip(("--lambda", "--k", "--u", "--g"), cell) for x in (flag, str(v))]
+    subprocess.run(argv, env=env, timeout=10, check=True, capture_output=True)
+    params, dec = serialize.decomposition_from_obj(json.loads(out.read_text()))
+    assert params == Params(*cell)
+    assert verify_arcs(dec, params)

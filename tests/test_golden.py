@@ -7,8 +7,11 @@ lambda stacking, every call site of `graphs.blow_up` (case e with x > 2,
 odd y of K_3 x K_ky, both branches of `cycle_times_blocked`) and every walk
 threaded by `graphs.assemble_from_distances` (the K_2 twist of cases d, e
 and the remark, the bipartite distance pairs, the Hamilton halves and the
-tripartite doubling of (2, 8, 4, 24)); a refactor that changes any output
-byte fails here.
+tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
+blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
+even x over searched matchings (2, 4, 17, 2), the Walecki groups with
+y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2); a
+refactor that changes any output byte fails here.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ GOLDEN = {
     (2, 6, 4, 8): "0c303c3d0c7098264cb464ad76eac614a9f4bcd6d50bd278f85f19ddf1dbb67e",
     (2, 6, 4, 4): "c5530895a64ed4796e1873841a1286a87f4ade383766fd67921e550d2baa46d2",
     (2, 8, 4, 24): "dee89c87cb185f30ee214d1580794bfaa0ac2fd86aa9a39d62ff2766dcf2fec8",
+    (2, 6, 19, 2): "e355b5523ee1e3ae5b01cf6763a2562a64cbc43372e28f2455a8c3e9d47fd6c4",
+    (2, 4, 17, 2): "275f1e098a5af84f3b776b5f92b025ec2d053566bc27ea9ed10ccd09c929807d",
+    (2, 6, 3, 12): "3018ac7b28cf5bbc075ce6416ec4d8b3ab80f22c0a37cdc3c65f9ca426294925",
+    (2, 10, 21, 2): "d1dd40699792ba02319498733a7fde05400e92091fa23ef9e697616aea0b9ef4",
 }
 
 
