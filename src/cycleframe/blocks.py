@@ -2,8 +2,9 @@
 
 Each provider returns its factorization as a verified decomposition of an
 explicit host graph.  Where a closed form is classical (rotational near
-1-factorizations, Walecki cycles, distance threading, the hub-and-groups
-spread of K_{r+1} blocks, mirrored rotational bases) it is built directly;
+1-factorizations and the even-x frame of partial ones, Walecki cycles,
+distance threading, the hub-and-groups spread of K_{r+1} blocks, mirrored
+rotational bases) it is built directly;
 this covers the doubled complete blocks of even cycle length, though the
 near ones with u = 2L+1 first try a short search so that the bases it finds
 keep their bytes.
@@ -58,38 +59,6 @@ def _cache_path(family: str, params: tuple) -> Path:
     return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)) / f"{family}-{digest}.json"
 
 
-def _cached(family: str, params: tuple, load, fresh, dump):
-    """The value `load` reads from the cache entry, else `fresh()`, stored.
-
-    `load` parses and verifies a payload, raising on any fault; an entry
-    that fails is deleted and rebuilt, and one that cannot be read is a
-    miss.  `dump` turns a fresh value into its payload.  The cache only
-    saves time: a failed write leaves no temporary file behind and does not
-    fail the build.
-    """
-    path = _cache_path(family, params)
-    try:
-        return load(json.loads(path.read_text(encoding="ascii")))
-    except OSError:
-        pass  # missing or unreadable: a miss
-    except (ValueError, KeyError, TypeError, IndexError, RecursionError,
-            ConstructionBugError):
-        path.unlink(missing_ok=True)
-    value = fresh()
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    except OSError:
-        return value
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(serialize.canonical_json_bytes(dump(value)))
-        os.replace(tmp, path)
-    except OSError:
-        os.unlink(tmp)
-    return value
-
-
 def _finish(host: MultiGraph, factors, strategy: str, tag: str) -> BlockResult:
     dec = Decomposition(tuple(factors), tuple(tag for _ in factors))
     result = check_partition(host, dec.factors)
@@ -102,38 +71,51 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
               holes, tag: str, first=None) -> BlockResult:
     """One factor per entry of `holes`, found behind the cache.
 
-    `first()`, when given, is a constructive attempt returning the cycles of
-    each factor or raising UnsupportedBlockError; otherwise (or then) the
-    edge search fills each factor over every vertex outside its hole part
-    (None: the whole host).
+    A cache entry is parsed and verified; one that fails is deleted and
+    rebuilt, and one that cannot be read is a miss.  `first()`, when given,
+    is a constructive attempt returning the cycles of each factor or raising
+    UnsupportedBlockError; otherwise (or then) the edge search fills each
+    factor over every vertex outside its hole part (None: the whole host).
+    The cache only saves time: a failed write leaves no temporary file
+    behind and does not fail the build.
     """
-
-    def fresh() -> BlockResult:
-        raw = None
-        if first is not None:
-            try:
-                raw = first()
-            except search.UnsupportedBlockError:
-                pass
-        if raw is None:
-            specs = [(frozenset(v for v in host.vertices() if v[0] != hole), cycle_length)
-                     for hole in holes]
-            raw = search.decompose_into_factors(Counter(host.edges), specs)
-        factors = [PartialFactor.build(cycle_length, hole, cycles)
-                   for hole, cycles in zip(holes, raw)]
-        return _finish(host, factors, SEARCH, tag)
-
-    def load(payload) -> BlockResult:
-        factors = serialize.factors_from_payload(payload)
+    path = _cache_path(family, params)
+    try:
+        factors = serialize.factors_from_payload(json.loads(path.read_text(encoding="ascii")))
         if [(f.cycle_length, f.hole) for f in factors] != [(cycle_length, h) for h in holes]:
             raise ValueError(f"cache entry for {family} {params} has the wrong shape")
         return _finish(host, factors, CACHED, tag)
-
-    def dump(result: BlockResult):
-        factors = result.decomposition.factors
-        return serialize.factors_payload(host, factors, [family] * len(factors))
-
-    return _cached(family, params, load, fresh, dump)
+    except OSError:
+        pass  # missing or unreadable: a miss
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError,
+            ConstructionBugError):
+        path.unlink(missing_ok=True)
+    raw = None
+    if first is not None:
+        try:
+            raw = first()
+        except search.UnsupportedBlockError:
+            pass
+    if raw is None:
+        specs = [(frozenset(v for v in host.vertices() if v[0] != hole), cycle_length)
+                 for hole in holes]
+        raw = search.decompose_into_factors(Counter(host.edges), specs)
+    factors = [PartialFactor.build(cycle_length, hole, cycles)
+               for hole, cycles in zip(holes, raw)]
+    result = _finish(host, factors, SEARCH, tag)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return result
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(serialize.canonical_json_bytes(
+                serialize.factors_payload(host, factors, [family] * len(factors))))
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+    return result
 
 
 def _as_factor(cycle_length: int, hole: int | None, int_cycles) -> PartialFactor:
@@ -167,61 +149,54 @@ def near_one_factorization(u: int) -> list[MatchingFactor]:
 def partial_one_factorization_multipartite(u: int, g: int) -> list[MatchingFactor]:
     """Hole-aligned partial 1-factorization of K_u (x) K̄_g.
 
-    Returns u*g matchings, g of them missing each part.  Odd u: blow the
-    rotational near 1-factorization through the g distance matchings.  Even u
-    (forcing even g): bounded search behind the cache.
+    Returns u*g matchings, g of them missing each part, in order of the
+    missing part.  Each base matching over vertices (part, level) is blown
+    through the s distance matchings of K_{s,s}: odd u takes the rotational
+    near 1-factors on level 0 with s = g; even u (forcing even g) takes
+    `_even_frame` on levels {0, 1} with s = g/2.
     """
     if u < 3:
         raise ParameterError("partial 1-factorization needs u >= 3")
     if (g * (u - 1)) % 2 != 0:
         raise ParameterError(f"partial 1-factorization needs g(u-1) even, got u={u}, g={g}")
-    host = multipartite_complete(u, g, 1)
-
-    def checked(factors):
-        return _check_matchings(factors, Counter(host.edges),
-                                lambda hole: {v for v in host.vertices() if v[0] != hole})
-
     if u % 2 == 1:
-        factors = []
-        for near in near_one_factorization(u):
-            for d in range(g):
-                edges = tuple(sorted(edge_key((a, s), (b, (s + d) % g))
-                                     for (a, b) in near.edges for s in range(g)))
-                factors.append(MatchingFactor(near.missing, edges))
-        return checked(factors)
-    if g > 2:
-        # Even u forces even g; blow the g = 2 base through the g/2 distance
-        # matchings of each K_{g/2,g/2} block.
-        half = g // 2
-        factors = []
-        for base in partial_one_factorization_multipartite(u, 2):
-            for d in range(half):
-                edges = tuple(sorted(
-                    edge_key((a, ha * half + z), (b, hb * half + (z + d) % half))
-                    for ((a, ha), (b, hb)) in base.edges for z in range(half)))
-                factors.append(MatchingFactor(base.missing, edges))
-        factors.sort(key=lambda f: f.missing)
-        return checked(factors)
+        bases = [(near.missing, [((a, 0), (b, 0)) for a, b in near.edges])
+                 for near in near_one_factorization(u)]
+        size = g
+    else:
+        bases, size = _even_frame(u - 1), g // 2
+    factors = [MatchingFactor(missing, tuple(sorted(
+        edge_key((a, ha * size + z), (b, hb * size + (z + d) % size))
+        for (a, ha), (b, hb) in edges for z in range(size))))
+        for missing, edges in bases for d in range(size)]
+    host = multipartite_complete(u, g, 1)
+    return _check_matchings(factors, Counter(host.edges),
+                            lambda hole: {v for v in host.vertices() if v[0] != hole})
 
-    # Matchings do not fit PartialFactor; cache them in a bespoke shape.
-    def searched():
-        spans = [frozenset(v for v in host.vertices() if v[0] != hole)
-                 for hole in range(u) for _ in range(g)]
-        raw = search.decompose_into_matchings(Counter(host.edges), spans)
-        return checked([MatchingFactor(i // g, tuple(sorted(edges)))
-                        for i, edges in enumerate(raw)])
 
-    def load(payload):
-        return checked([MatchingFactor(m["missing"],
-                                       tuple(tuple(tuple(v) for v in e) for e in m["edges"]))
-                        for m in payload["matchings"]])
+def _even_frame(n: int) -> list[tuple[int, list]]:
+    """Partial 1-factorization of K_{n+1} (x) K̄_2 for odd n, two per part.
 
-    def dump(factors):
-        return {"matchings": [{"missing": f.missing,
-                               "edges": [[list(v) for v in e] for e in f.edges]}
-                              for f in factors]}
+    Parts are Z_n plus the fixed part n (∞), and slots are levels {0, 1}.
+    B0 and B1 miss part 0 and are translated by every m in Z_n (∞ fixed):
+    together they use each pure difference on each level once and each of
+    the four ∞-orbits once, and B1's mixed differences -2c (c ∉ {0, ±1})
+    cover every nonzero mixed difference but ±2.  The two matchings
+    missing ∞ take the mixed differences +2 and -2.
+    """
+    inf, half = n, (n - 1) // 2
+    b0 = ([((j, 0), (-j, 0)) for j in range(2, half + 1)]
+          + [((j, 1), (-j, 1)) for j in range(1, half + 1)]
+          + [((inf, 0), (1, 0)), ((inf, 1), (-1, 0))])
+    b1 = ([((-1, 0), (1, 0)), ((inf, 0), (1, 1)), ((inf, 1), (-1, 1))]
+          + [((c, 0), (-c, 1)) for c in range(2, n - 1)])
 
-    return _cached("partial_one_factor", (u, g), load, searched, dump)
+    def shift(v, m):
+        return v if v[0] == inf else ((v[0] + m) % n, v[1])
+
+    bases = [(m, [(shift(a, m), shift(b, m)) for a, b in base])
+             for m in range(n) for base in (b0, b1)]
+    return bases + [(inf, [((a, 0), ((a + d) % n, 1)) for a in range(n)]) for d in (2, -2)]
 
 
 def _check_matchings(factors, host_edges: Counter, span_of):

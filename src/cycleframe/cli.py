@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(f"built {len(dec.factors)} partial factors ({feas.detail})")
+    print(f"built {len(dec.factors)} partial factors ({feas.detail})", file=sys.stderr)
     return EXIT_OK
 
 

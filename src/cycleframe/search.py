@@ -16,6 +16,7 @@ answers, and every engine counts nodes against a budget.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 
@@ -117,7 +118,7 @@ def _array_backtrack(positions, modulus, target_gcd, values, budget):
                     pools[col].remove(v)
                     if place_row(row):
                         return True
-                    pools[col].insert(_ins(pools[col], v), v)
+                    bisect.insort(pools[col], v)
                     row.pop()
             return False
         for v in list(pools[col]):
@@ -125,7 +126,7 @@ def _array_backtrack(positions, modulus, target_gcd, values, budget):
             pools[col].remove(v)
             if fill_row(row, col + 1):
                 return True
-            pools[col].insert(_ins(pools[col], v), v)
+            bisect.insort(pools[col], v)
             row.pop()
         return False
 
@@ -143,13 +144,6 @@ def _array_backtrack(positions, modulus, target_gcd, values, budget):
             f"no distance array for positions={positions}, modulus={modulus}, "
             f"target={target_gcd}")
     return rows
-
-
-def _ins(pool: list[int], v: int) -> int:
-    lo = 0
-    while lo < len(pool) and pool[lo] < v:
-        lo += 1
-    return lo
 
 
 def _difference_class(a: int, b: int, n: int) -> int:
@@ -261,14 +255,7 @@ def decompose_into_factors(pool: Counter[Edge],
 
     def later_need(v: Vertex, idx: int) -> int:
         lst = owing.get(v, ())
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid] <= idx:
-                lo = mid + 1
-            else:
-                hi = mid
-        return 2 * (len(lst) - lo)
+        return 2 * (len(lst) - bisect.bisect_right(lst, idx))
 
     def avail(a: Vertex, c: Vertex) -> bool:
         return work[edge_key(a, c)] > 0
@@ -363,62 +350,3 @@ def decompose_into_factors(pool: Counter[Edge],
     if solve(0):
         return out
     raise UnsupportedBlockError("no factor decomposition within budget")
-
-
-def decompose_into_matchings(pool: Counter[Edge],
-                             spans: list[frozenset[Vertex]],
-                             budget: int = DEFAULT_BUDGET) -> list[list[Edge]]:
-    """Partition `pool` into one perfect matching per span."""
-    b = _Budget(budget)
-    adjacency: dict[Vertex, list[Vertex]] = {}
-    for (x, y) in pool:
-        adjacency.setdefault(x, []).append(y)
-        adjacency.setdefault(y, []).append(x)
-    for v in adjacency:
-        adjacency[v] = sorted(set(adjacency[v]))
-    work = Counter(pool)
-    out: list[list[Edge]] = []
-
-    def solve_matching(idx: int, uncovered: set[Vertex], edges: list[Edge]) -> bool:
-        b.spend()
-        if not uncovered:
-            out.append(list(edges))
-            if solve(idx + 1):
-                return True
-            out.pop()
-            return False
-        a = min(uncovered)
-        uncovered.discard(a)
-        floor = first_floor[idx] if not edges else None
-        for v in adjacency.get(a, ()):
-            if floor is not None and v < floor:
-                continue  # canonical order between identical matchings
-            e = edge_key(a, v)
-            if v not in uncovered or work[e] == 0:
-                continue
-            uncovered.discard(v)
-            work[e] -= 1
-            edges.append(e)
-            if solve_matching(idx, uncovered, edges):
-                return True
-            edges.pop()
-            work[e] += 1
-            uncovered.add(v)
-        uncovered.add(a)
-        return False
-
-    first_floor: dict[int, Vertex | None] = {}
-
-    def solve(idx: int) -> bool:
-        if idx == len(spans):
-            return all(m == 0 for m in work.values())
-        if idx > 0 and spans[idx] == spans[idx - 1] and out:
-            a, v = out[-1][0]
-            first_floor[idx] = v if a == min(spans[idx]) else a
-        else:
-            first_floor[idx] = None
-        return solve_matching(idx, set(spans[idx]), [])
-
-    if solve(0):
-        return out
-    raise UnsupportedBlockError("no matching decomposition within budget")

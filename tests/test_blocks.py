@@ -49,7 +49,8 @@ def test_near_one_factorization_rejects_even():
         blocks.near_one_factorization(4)
 
 
-@pytest.mark.parametrize("u,g", [(3, 2), (4, 2), (3, 3), (4, 4), (5, 2), (6, 4)])
+@pytest.mark.parametrize("u,g", [(3, 2), (4, 2), (3, 3), (4, 4), (5, 2), (6, 4),
+                                 (8, 2), (12, 2), (16, 2), (12, 4)])
 def test_partial_one_factorization(u, g):
     fs = blocks.partial_one_factorization_multipartite(u, g)
     assert len(fs) == u * g
@@ -150,9 +151,6 @@ def test_near_c2k_factorization_rejects_wrong_congruence():
 def test_even_doubled_blocks_never_search(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
-    # the searched matchings that link the groups for even x are a block of their own
-    blocks.partial_one_factorization_multipartite(4, 2)
-    before = sorted(cache.iterdir())
 
     def no_search(*args, **kwargs):
         raise AssertionError("a closed-form block reached the search")
@@ -169,7 +167,10 @@ def test_even_doubled_blocks_never_search(tmp_path, monkeypatch):
         for y in (2, 3, 4):
             result = blocks.ck_factorization_complete_doubled(m, 2 * m * y)
             assert result.strategy == blocks.EXPLICIT
-    assert sorted(cache.iterdir()) == before
+    for x in range(4, 17, 2):
+        for g in (2, 4):
+            assert len(blocks.partial_one_factorization_multipartite(x, g)) == x * g
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize("cycle_len", [4, 6, 8, 12, 16, 22, 40])

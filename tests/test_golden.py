@@ -2,14 +2,15 @@
 
 Each digest is the SHA-256 of the canonical JSON of one cell, recorded from
 a cold-cache build.  The cells cover every case route, the x > 2 hub-and-
-groups assembly of cases a and b, the searched partial 1-factorization,
+groups assembly of cases a and b, the closed-form partial 1-factorization
+for even x (the frame of (1, 4, 17, 3) and (1, 12, 17, 9)),
 lambda stacking, every call site of `graphs.blow_up` (case e with x > 2,
 odd y of K_3 x K_ky, both branches of `cycle_times_blocked`) and every walk
 threaded by `graphs.assemble_from_distances` (the K_2 twist of cases d, e
 and the remark, the bipartite distance pairs, the Hamilton halves and the
 tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
 blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
-even x over searched matchings (2, 4, 17, 2), the Walecki groups with
+even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
 y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2); a
 refactor that changes any output byte fails here.
 """
@@ -26,9 +27,9 @@ from cycleframe.serialize import canonical_json_bytes, decomposition_to_obj
 GOLDEN = {
     (1, 4, 5, 5): "8e54184ee5a786c370021229e057e916c7b3eb1c613fbf1ad2590e6949d527ec",
     (1, 4, 13, 3): "62b4a8ebe42b60e186a0016709b915ae25e819373a170b59377d0fd386593b46",
-    (1, 4, 17, 3): "5dbae5db287df6cfc9717b8496f6ad48f7b71f5eac645e89cf057087635edf9d",
+    (1, 4, 17, 3): "05ea5087d1402f6bf61829124e6ad197fbae9035b6a227f446437b51a476ae02",
     (1, 12, 5, 9): "8795394748e18ac563ea6a0442ac40482168e55db098b78a8ddea330323e6991",
-    (1, 12, 17, 9): "54044a8c5dee48758b5bf2d2210348813f0ebcb8d1ef4874d96cf37d1d11cdee",
+    (1, 12, 17, 9): "e99546a57c9f7b91800fb018e7b8cfae0a53dd54717734fb6e6617ad7d58d62d",
     (2, 4, 5, 3): "16f54810249d198145803473d9d4c4526c319bc1321cc07dd1af46d8dd7294ce",
     (2, 6, 3, 6): "34a478602347ae2774a67dca0dc6e2bd0d013290b6b2d8616c8f7829f2379867",
     (2, 8, 4, 8): "11b65d666f5a7024fbf1d8ac8815e4a93c63b50ba0b6072e6f4f7987d2945438",
@@ -45,7 +46,7 @@ GOLDEN = {
     (2, 6, 4, 4): "c5530895a64ed4796e1873841a1286a87f4ade383766fd67921e550d2baa46d2",
     (2, 8, 4, 24): "dee89c87cb185f30ee214d1580794bfaa0ac2fd86aa9a39d62ff2766dcf2fec8",
     (2, 6, 19, 2): "e355b5523ee1e3ae5b01cf6763a2562a64cbc43372e28f2455a8c3e9d47fd6c4",
-    (2, 4, 17, 2): "275f1e098a5af84f3b776b5f92b025ec2d053566bc27ea9ed10ccd09c929807d",
+    (2, 4, 17, 2): "352ea0e6b519ea893382edbcd991dd6be0e37ee2abffa76858f32a1aa5f26088",
     (2, 6, 3, 12): "3018ac7b28cf5bbc075ce6416ec4d8b3ab80f22c0a37cdc3c65f9ca426294925",
     (2, 10, 21, 2): "d1dd40699792ba02319498733a7fde05400e92091fa23ef9e697616aea0b9ef4",
 }
