@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import search, serialize
 from .graphs import (ConstructionBugError, Decomposition, DegenerateCycleError,
-                     Edge, ExceptionalCase, MultiGraph, ParameterError,
+                     ExceptionalCase, MultiGraph, ParameterError,
                      PartialFactor, assemble_from_distances, blow_up,
                      complete_graph, edge_key, multipartite_complete,
                      trace_two_regular)
@@ -97,9 +97,7 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
         except search.UnsupportedBlockError:
             pass
     if raw is None:
-        specs = [(frozenset(v for v in host.vertices() if v[0] != hole), cycle_length)
-                 for hole in holes]
-        raw = search.decompose_into_factors(Counter(host.edges), specs)
+        raw = search.decompose_into_factors(host, holes, cycle_length)
     factors = [PartialFactor.build(cycle_length, hole, cycles)
                for hole, cycles in zip(holes, raw)]
     result = _finish(host, factors, SEARCH, tag)
@@ -140,10 +138,8 @@ def near_one_factorization(u: int) -> list[MatchingFactor]:
         edges = tuple(sorted(tuple(sorted(((m + j) % u, (m - j) % u)))
                              for j in range(1, (u - 1) // 2 + 1)))
         factors.append(MatchingFactor(m, edges))
-    _check_matchings(factors, Counter({(i, j): 1 for i, j in
-                                       itertools.combinations(range(u), 2)}),
-                     lambda m: set(range(u)) - {m})
-    return factors
+    return _check_matchings(factors, lambda e: 1, u * (u - 1) // 2,
+                            lambda m: set(range(u)) - {m})
 
 
 def partial_one_factorization_multipartite(u: int, g: int) -> list[MatchingFactor]:
@@ -170,7 +166,7 @@ def partial_one_factorization_multipartite(u: int, g: int) -> list[MatchingFacto
         for (a, ha), (b, hb) in edges for z in range(size))))
         for missing, edges in bases for d in range(size)]
     host = multipartite_complete(u, g, 1)
-    return _check_matchings(factors, Counter(host.edges),
+    return _check_matchings(factors, host.multiplicity, host.edge_count(),
                             lambda hole: {v for v in host.vertices() if v[0] != hole})
 
 
@@ -199,17 +195,22 @@ def _even_frame(n: int) -> list[tuple[int, list]]:
     return bases + [(inf, [((a, 0), ((a + d) % n, 1)) for a in range(n)]) for d in (2, -2)]
 
 
-def _check_matchings(factors, host_edges: Counter, span_of):
-    total: Counter = Counter()
+def _check_matchings(factors, multiplicity, total: int, span_of):
+    """Each factor a matching on `span_of(missing)`; no edge used more often
+    than `multiplicity(edge)`, and `total` edges in all: an exact partition."""
+    used: Counter = Counter()
     for f in factors:
         covered = [v for e in f.edges for v in e]
         if len(covered) != len(set(covered)):
             raise ConstructionBugError("matching factor repeats a vertex")
         if set(covered) != span_of(f.missing):
             raise ConstructionBugError("matching factor span mismatch")
-        for e in f.edges:
-            total[tuple(e)] += 1
-    if total != host_edges:
+        for a, b in f.edges:
+            e = (a, b) if a < b else (b, a)
+            used[e] += 1
+            if used[e] > multiplicity(e):
+                raise ConstructionBugError(f"matching factors over-cover edge {e}")
+    if sum(used.values()) != total:
         raise ConstructionBugError("matching factors do not partition the host")
     return factors
 
@@ -485,8 +486,7 @@ def cs_factorization_complete_odd(s: int, g: int) -> BlockResult:
 
 
 def bipartite_host(n: int) -> MultiGraph:
-    edges = {((0, s1), (1, s2)): 1 for s1 in range(n) for s2 in range(n)}
-    return MultiGraph(2, n, edges, "lexicographic_blowup")
+    return MultiGraph(2, n, {(0, 1): 1}, False)
 
 
 def ck_factorization_bipartite(m: int, n: int, kk: int) -> BlockResult:
@@ -514,11 +514,14 @@ def ck_factorization_bipartite(m: int, n: int, kk: int) -> BlockResult:
     return _searched("ck_factor_knn", (n, kk), host, kk, [None] * (n // 2), "bipartite_search")
 
 
+def _ring(m: int) -> Counter:
+    """Part pairs of the cycle C_m on parts 0..m-1 (m = 2 doubles its one pair)."""
+    return Counter(tuple(sorted((p, (p + 1) % m))) for p in range(m))
+
+
 def cycle_times_complete_host(kk: int, m: int) -> MultiGraph:
     """C_kk x K_m: the ring blow-up without its slot-aligned pairs."""
-    edges = {e: c for e, c in cycle_lex_host(kk, m).edges.items() if e[0][1] != e[1][1]}
-    # kk == 2 would double the single part pair; callers keep kk >= 3.
-    return MultiGraph(kk, m, edges, "custom")
+    return MultiGraph(kk, m, _ring(kk), True)
 
 
 def ck_factorization_cycle_times_complete(kk: int, m: int, n: int = 1) -> BlockResult:
@@ -560,15 +563,8 @@ def hamilton_decomp_cycle_times_complete(m: int, n: int) -> BlockResult:
 
 
 def cycle_lex_host(m: int, n: int) -> MultiGraph:
-    edges: dict[Edge, int] = {}
-    for p in range(m):
-        q = (p + 1) % m
-        lo, hi = min(p, q), max(p, q)
-        for s1 in range(n):
-            for s2 in range(n):
-                e = edge_key((lo, s1), (hi, s2))
-                edges[e] = edges.get(e, 0) + 1
-    return MultiGraph(m, n, edges, "lexicographic_blowup")
+    """C_m (x) K̄_n: every slot pair of ring-adjacent parts."""
+    return MultiGraph(m, n, _ring(m), False)
 
 
 def lex_cycle_factorization(m: int, n: int, target_gcd: int = 1) -> BlockResult:
@@ -719,13 +715,7 @@ def cubic_times_k3_factorization(k: int, cubic_edges) -> BlockResult:
         degrees[b] += 1
     if sorted(degrees) != list(range(k)) or set(degrees.values()) != {3}:
         raise ParameterError("remainder graph is not cubic on 0..k-1")
-    edges: dict[Edge, int] = {}
-    for a, b in cubic:
-        for s1 in range(3):
-            for s2 in range(3):
-                if s1 != s2:
-                    edges[edge_key((a, s1), (b, s2))] = 1
-    host = MultiGraph(k, 3, edges, "custom")
+    host = MultiGraph(k, 3, dict.fromkeys(cubic, 1), True)
 
     p1f = _perfect_one_factorization(k, cubic)
     if p1f is not None:

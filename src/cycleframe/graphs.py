@@ -1,9 +1,9 @@
 """Core graph model: uniform multipartite multigraphs, cycles, factors.
 
-Vertices are (part, slot) pairs.  Edges are unordered vertex pairs stored in
-normalized order with an explicit integer multiplicity, so multigraph
-arithmetic (doubling, hole removal, partition checks) is plain Counter
-arithmetic.  All values are immutable after construction.
+Vertices are (part, slot) pairs and edges are normalized vertex pairs.  A
+host is a rule, not a list: joined part pairs times a slot rule, so checks
+ask it for one edge's multiplicity and only the edge search lists its
+edges.  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -49,53 +49,55 @@ def edge_key(a: Vertex, b: Vertex) -> Edge:
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Uniform multipartite multigraph: num_parts parts of part_size slots."""
+    """num_parts parts of part_size slots; parts p < q are joined by
+    part_pairs[(p, q)] copies of every slot pair (of distinct slots only
+    when distinct_slots is set)."""
 
     num_parts: int
     part_size: int
-    edges: dict[Edge, int]
-    kind: str = "custom"
+    part_pairs: dict[tuple[int, int], int]
+    distinct_slots: bool
 
     def vertices(self) -> list[Vertex]:
         return [(p, s) for p in range(self.num_parts) for s in range(self.part_size)]
 
+    def multiplicity(self, e: Edge) -> int:
+        """Copies of the normalised edge e between two host vertices."""
+        (p, s), (q, t) = e
+        return 0 if self.distinct_slots and s == t else self.part_pairs.get((p, q), 0)
+
     def edge_count(self) -> int:
         """Total multiset size (parallel edges counted with multiplicity)."""
-        return sum(self.edges.values())
+        g = self.part_size
+        return sum(self.part_pairs.values()) * (g * g - g if self.distinct_slots else g * g)
+
+    @property
+    def edges(self) -> dict[Edge, int]:
+        """The edge multiset, listed on demand."""
+        slots = range(self.part_size)
+        return {((p, s), (q, t)): mult for (p, q), mult in self.part_pairs.items()
+                for s in slots for t in slots if not (self.distinct_slots and s == t)}
 
 
 def tensor_complete(u: int, g: int, lam: int) -> MultiGraph:
     """(K_u x K_g)(lam): u parts of size g, edges where part and slot differ."""
     if u < 2 or g < 2 or lam < 1:
         raise ParameterError(f"tensor_complete needs u >= 2, g >= 2, lam >= 1, got {(u, g, lam)}")
-    edges: dict[Edge, int] = {}
-    for p1, p2 in itertools.combinations(range(u), 2):
-        for s1 in range(g):
-            for s2 in range(g):
-                if s1 != s2:
-                    edges[((p1, s1), (p2, s2))] = lam
-    return MultiGraph(u, g, edges, "tensor_complete")
+    return MultiGraph(u, g, dict.fromkeys(itertools.combinations(range(u), 2), lam), True)
 
 
 def multipartite_complete(u: int, g: int, lam: int) -> MultiGraph:
     """K_u (x) K̄_g with multiplicity lam: all cross-part pairs."""
     if u < 2 or g < 1 or lam < 1:
         raise ParameterError(f"multipartite_complete got {(u, g, lam)}")
-    edges: dict[Edge, int] = {}
-    for p1, p2 in itertools.combinations(range(u), 2):
-        for s1 in range(g):
-            for s2 in range(g):
-                edges[((p1, s1), (p2, s2))] = lam
-    return MultiGraph(u, g, edges, "lexicographic_blowup")
+    return MultiGraph(u, g, dict.fromkeys(itertools.combinations(range(u), 2), lam), False)
 
 
 def complete_graph(n: int, lam: int = 1) -> MultiGraph:
     """K_n(lam) modelled as n parts of size one."""
     if n < 2 or lam < 1:
         raise ParameterError(f"complete_graph got {(n, lam)}")
-    edges = {(((i, 0)), ((j, 0))): lam for i, j in itertools.combinations(range(n), 2)}
-    kind = "complete_simple" if lam == 1 else "complete_doubled" if lam == 2 else "custom"
-    return MultiGraph(n, 1, edges, kind)
+    return MultiGraph(n, 1, dict.fromkeys(itertools.combinations(range(n), 2), lam), False)
 
 
 def canonical_cycle(vertices) -> Cycle:

@@ -7,8 +7,8 @@ Three engines:
   every row sum constrained by the gcd that fixes the resulting cycle length;
 * rotational bases: a starter near factor over Z_n whose translates tile
   the doubled complete graph K_n(2), each translate missing one vertex;
-* edge-level factor cover: partition an explicit edge multiset into
-  2-factors with prescribed spans and cycle length.
+* edge-level factor cover: partition a host's listed edges into
+  C_L-factors, each spanning every part but its hole.
 
 Everything iterates in sorted order so identical requests rebuild identical
 answers, and every engine counts nodes against a budget.
@@ -20,8 +20,8 @@ import bisect
 import math
 from collections import Counter
 
-from .graphs import (DegenerateCycleError, Edge, UnsupportedBlockError, Vertex,
-                     edge_key, trace_two_regular)
+from .graphs import (DegenerateCycleError, MultiGraph, UnsupportedBlockError,
+                     Vertex, edge_key, trace_two_regular)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -223,34 +223,35 @@ def rotational_base(n: int, cycle_len: int,
     raise UnsupportedBlockError(f"no rotational base for n={n}, cycle_len={cycle_len}")
 
 
-def decompose_into_factors(pool: Counter[Edge],
-                           specs: list[tuple[frozenset[Vertex], int]],
+def decompose_into_factors(host: MultiGraph, holes, cycle_len: int,
                            budget: int = DEFAULT_BUDGET) -> list[list[tuple[Vertex, ...]]]:
-    """Partition `pool` into one 2-factor per spec (span, cycle_len).
+    """Partition the edges of `host` into one C_cycle_len-factor per hole.
 
-    Each factor covers its span exactly with vertex-disjoint cycles of the
-    given length drawn from the remaining multiset.  Cycles grow from the
-    least uncovered vertex with ascending neighbours and a direction
-    tie-break, which both canonicalizes the output and prunes the search;
-    committing an edge also checks that both endpoints keep enough available
-    degree for the factors still owed to them.
+    The only reader of `host.edges`.  The factor for hole h covers every
+    vertex outside part h (None: every vertex) with disjoint cycles drawn
+    from the remaining multiset.  Cycles grow from the least uncovered
+    vertex with ascending neighbours and a direction tie-break, which both
+    canonicalizes the output and prunes the search; committing an edge also
+    checks that both endpoints keep enough available degree for the factors
+    still owed to them.
     """
     b = _Budget(budget)
+    work = Counter(host.edges)
+    spans = [frozenset(v for v in host.vertices() if v[0] != hole) for hole in holes]
     adjacency: dict[Vertex, list[Vertex]] = {}
     avail_deg: Counter[Vertex] = Counter()
-    for (x, y), mult in pool.items():
+    for (x, y), mult in work.items():
         adjacency.setdefault(x, []).append(y)
         adjacency.setdefault(y, []).append(x)
         avail_deg[x] += mult
         avail_deg[y] += mult
     for v in adjacency:
         adjacency[v] = sorted(set(adjacency[v]))
-    # spec indices that still owe vertex v two edges, for the degree prune
+    # factor indices that still owe vertex v two edges, for the degree prune
     owing: dict[Vertex, list[int]] = {}
-    for i, (span, _) in enumerate(specs):
+    for i, span in enumerate(spans):
         for v in span:
             owing.setdefault(v, []).append(i)
-    work = Counter(pool)
     out: list[list[tuple[Vertex, ...]]] = []
 
     def later_need(v: Vertex, idx: int) -> int:
@@ -265,8 +266,7 @@ def decompose_into_factors(pool: Counter[Edge],
         avail_deg[a] += delta
         avail_deg[c] += delta
 
-    def solve_factor(idx: int, uncovered: set[Vertex], cycles: list[tuple[Vertex, ...]],
-                     cycle_len: int) -> bool:
+    def solve_factor(idx: int, uncovered: set[Vertex], cycles: list[tuple[Vertex, ...]]) -> bool:
         if not uncovered:
             out.append(list(cycles))
             if solve(idx + 1):
@@ -275,11 +275,11 @@ def decompose_into_factors(pool: Counter[Edge],
             return False
         anchor = min(uncovered)
         uncovered.discard(anchor)
-        ok = grow([anchor], anchor, uncovered, cycles, cycle_len, idx)
+        ok = grow([anchor], anchor, uncovered, cycles, idx)
         uncovered.add(anchor)
         return ok
 
-    def take_remainder(span: frozenset[Vertex], cycle_len: int) -> bool:
+    def take_remainder(span: frozenset[Vertex]) -> bool:
         """Final factor: the leftover edges must be exactly the factor."""
         left = [e for e, mult in work.items() if mult]
         if any(work[e] != 1 or e[0] not in span or e[1] not in span for e in left):
@@ -295,7 +295,7 @@ def decompose_into_factors(pool: Counter[Edge],
         return True
 
     def grow(path: list[Vertex], anchor: Vertex, uncovered: set[Vertex],
-             cycles: list[tuple[Vertex, ...]], cycle_len: int, idx: int) -> bool:
+             cycles: list[tuple[Vertex, ...]], idx: int) -> bool:
         b.spend()
         if len(path) == cycle_len:
             if not avail(path[-1], anchor):
@@ -306,7 +306,7 @@ def decompose_into_factors(pool: Counter[Edge],
             if (avail_deg[path[-1]] >= later_need(path[-1], idx)
                     and avail_deg[anchor] >= later_need(anchor, idx)):
                 cycles.append(tuple(path))
-                if solve_factor(idx, uncovered, cycles, cycle_len):
+                if solve_factor(idx, uncovered, cycles):
                     return True
                 cycles.pop()
             take(path[-1], anchor, +1)
@@ -325,7 +325,7 @@ def decompose_into_factors(pool: Counter[Edge],
             # needs its closing edge here plus two per later factor owing it.
             prev_ok = avail_deg[prev] >= later_need(prev, idx) + (1 if prev == anchor else 0)
             v_ok = avail_deg[v] >= 1 + later_need(v, idx)
-            if prev_ok and v_ok and grow(path, anchor, uncovered, cycles, cycle_len, idx):
+            if prev_ok and v_ok and grow(path, anchor, uncovered, cycles, idx):
                 return True
             take(prev, v, +1)
             path.pop()
@@ -335,17 +335,16 @@ def decompose_into_factors(pool: Counter[Edge],
     first_floor: dict[int, Vertex | None] = {}
 
     def solve(idx: int) -> bool:
-        if idx == len(specs):
+        if idx == len(holes):
             return all(m == 0 for m in work.values())
-        span, cycle_len = specs[idx]
-        if idx == len(specs) - 1:
-            return take_remainder(span, cycle_len)
-        if idx > 0 and specs[idx] == specs[idx - 1] and out:
+        if idx == len(holes) - 1:
+            return take_remainder(spans[idx])
+        if idx > 0 and holes[idx] == holes[idx - 1] and out:
             prev_first = out[-1][0]
             first_floor[idx] = prev_first[1]
         else:
             first_floor[idx] = None
-        return solve_factor(idx, set(span), [], cycle_len)
+        return solve_factor(idx, set(spans[idx]), [])
 
     if solve(0):
         return out

@@ -23,10 +23,23 @@ def factor_to_obj(factor: PartialFactor) -> dict[str, Any]:
     return {"hole": factor.hole, "cycles": factor.cycles}
 
 
+def _int(value) -> int:
+    if type(value) is not int:  # a JSON float, boolean or string is refused
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _vertex(pair) -> tuple[int, int]:
+    p, s = pair
+    if type(p) is not int or type(s) is not int:
+        raise ValueError(f"expected a vertex of two integers, got {pair!r}")
+    return (p, s)
+
+
 def factor_from_obj(obj: dict[str, Any], cycle_length: int) -> PartialFactor:
-    cycles = [tuple((int(p), int(s)) for p, s in cyc) for cyc in obj["cycles"]]
+    cycles = [tuple(map(_vertex, cyc)) for cyc in obj["cycles"]]
     hole = obj["hole"]
-    return PartialFactor.build(cycle_length, None if hole is None else int(hole), cycles)
+    return PartialFactor.build(cycle_length, None if hole is None else _int(hole), cycles)
 
 
 def decomposition_to_obj(dec: Decomposition, params) -> dict[str, Any]:
@@ -42,7 +55,7 @@ def decomposition_from_obj(obj: dict[str, Any]):
     from .arcs import Params  # local import: serialize stays dependency-light
 
     raw = obj["params"]
-    params = Params(int(raw["lambda"]), int(raw["k"]), int(raw["u"]), int(raw["g"]))
+    params = Params(_int(raw["lambda"]), _int(raw["k"]), _int(raw["u"]), _int(raw["g"]))
     factors = tuple(factor_from_obj(f, params.k) for f in obj["factors"])
     provenance = tuple(str(t) for t in obj.get("provenance", ()))
     return params, Decomposition(factors, provenance)
@@ -55,7 +68,7 @@ def canonical_json_bytes(obj: Any) -> bytes:
 def factors_payload(host: MultiGraph, factors, provenance) -> dict[str, Any]:
     """Cache payload for non-ARCS hosts (block decompositions)."""
     return {
-        "host": {"num_parts": host.num_parts, "part_size": host.part_size, "kind": host.kind},
+        "host": {"num_parts": host.num_parts, "part_size": host.part_size},
         "factors": [factor_to_obj(f) for f in factors],
         "cycle_lengths": [f.cycle_length for f in factors],
         "provenance": list(provenance),
@@ -63,5 +76,5 @@ def factors_payload(host: MultiGraph, factors, provenance) -> dict[str, Any]:
 
 
 def factors_from_payload(obj: dict[str, Any]) -> list[PartialFactor]:
-    return [factor_from_obj(f, length)
+    return [factor_from_obj(f, _int(length))
             for f, length in zip(obj["factors"], obj["cycle_lengths"])]

@@ -78,7 +78,7 @@ def _cover(factors, num_parts: int, part_size: int, k: int | None,
 def check_partition(host: MultiGraph, factors) -> Result:
     """Exact multiset partition check plus per-factor structural validity."""
     return _cover(factors, host.num_parts, host.part_size, None,
-                  lambda e: host.edges.get(e, 0), host.edge_count())
+                  host.multiplicity, host.edge_count())
 
 
 def verify_arcs(dec: Decomposition, params) -> Result:
@@ -126,21 +126,12 @@ def brute_force_arcs(params, budget: int = search.DEFAULT_BUDGET) -> BruteForceO
     lam, k, u, g = params.lam, params.k, params.u, params.g
     if u < 3 or g < 2 or (lam * (g - 1)) % 2 != 0 or (g * (u - 1)) % k != 0:
         return BruteForceOutcome("infeasible")
-    host = tensor_complete(u, g, lam)
-    per_hole = lam * (g - 1) // 2
-    vertices = frozenset(host.vertices())
-    specs = []
-    for hole in range(u):
-        span = frozenset(v for v in vertices if v[0] != hole)
-        specs.extend([(span, k)] * per_hole)
+    holes = [hole for hole in range(u) for _ in range(lam * (g - 1) // 2)]
     try:
-        raw = search.decompose_into_factors(Counter(host.edges), specs, budget)
+        raw = search.decompose_into_factors(tensor_complete(u, g, lam), holes, k, budget)
     except UnsupportedBlockError:
         return BruteForceOutcome("exhausted")
-    factors = []
-    for (span, _), cycles in zip(specs, raw):
-        hole = next(p for p in range(u) if (p, 0) not in span)
-        factors.append(PartialFactor.build(k, hole, cycles))
+    factors = [PartialFactor.build(k, hole, cycles) for hole, cycles in zip(holes, raw)]
     dec = Decomposition(tuple(factors), tuple("exact_cover" for _ in factors))
     check = verify_arcs(dec, params)
     if not check:

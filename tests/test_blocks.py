@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
-from cycleframe import blocks, graphs, search
+from cycleframe import blocks, graphs, search, serialize
 from cycleframe.verify import check_partition
 from multisets import edge_multiset
 
@@ -16,9 +17,7 @@ def all_pairs(n):
 
 def cubic_times_k3_host(k, cubic):
     """G x K_3 for a cubic G on 0..k-1, from the adjacency rule."""
-    edges = {graphs.edge_key((a, s1), (b, s2)): 1
-             for a, b in cubic for s1 in range(3) for s2 in range(3) if s1 != s2}
-    return graphs.MultiGraph(k, 3, edges)
+    return graphs.MultiGraph(k, 3, {e: 1 for e in cubic}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_cycle_times_complete_host_is_the_ring_tensor_product():
                     for p, q in map(sorted, ring) for s1 in range(m) for s2 in range(m)
                     if s1 != s2}
             host = blocks.cycle_times_complete_host(kk, m)
-            assert host.edges == want and host.kind == "custom"
+            assert host.edges == want
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (4, 4), (3, 4)])
@@ -366,8 +365,8 @@ def test_failed_hamilton_search_is_not_repeated(tmp_path, monkeypatch):
     def no_rows(*args, **kwargs):
         raise graphs.UnsupportedBlockError("stubbed: no distance array")
 
-    def no_cover(pool, specs, budget=search.DEFAULT_BUDGET):
-        searches.append(specs)
+    def no_cover(host, holes, cycle_len, budget=search.DEFAULT_BUDGET):
+        searches.append(holes)
         raise graphs.UnsupportedBlockError("stubbed: search gave up")
 
     monkeypatch.setattr(search, "distance_array", no_rows)
@@ -422,6 +421,42 @@ def test_distance_array_residue_obstruction_fails_fast():
 def test_rotational_base_parity_obstruction():
     with pytest.raises(graphs.UnsupportedBlockError):
         search.rotational_base(10, 3)
+
+
+def test_check_matchings_counts_a_pair_in_either_orientation():
+    # (0, 1) is claimed twice, once per orientation, and (0, 2) never
+    factors = [blocks.MatchingFactor(2, ((0, 1),)), blocks.MatchingFactor(2, ((1, 0),)),
+               blocks.MatchingFactor(0, ((1, 2),))]
+    with pytest.raises(graphs.ConstructionBugError):
+        blocks._check_matchings(factors, lambda e: 1, 3, lambda m: {0, 1, 2} - {m})
+
+
+def test_cache_entry_with_host_kind_still_loads(tmp_path, monkeypatch):
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    first = blocks.near_cycle_factorization_doubled(4, 9)
+    [entry] = tmp_path.glob("near_cycle_ku2-*.json")
+    obj = json.loads(entry.read_text())
+    assert obj["host"] == {"num_parts": 9, "part_size": 1}
+    obj["host"]["kind"] = "complete_doubled"  # the host record of older versions
+    entry.write_bytes(serialize.canonical_json_bytes(obj))
+    second = blocks.near_cycle_factorization_doubled(4, 9)
+    assert second.strategy == blocks.CACHED
+    assert second.decomposition.factors == first.decomposition.factors
+    assert "kind" in json.loads(entry.read_text())["host"]
+
+
+def test_cache_entry_with_non_integer_values_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    first = blocks.near_cycle_factorization_doubled(4, 9)
+    [entry] = tmp_path.glob("near_cycle_ku2-*.json")
+    good = entry.read_bytes()
+    obj = json.loads(good)
+    obj["cycle_lengths"][0] = float(obj["cycle_lengths"][0])
+    entry.write_text(json.dumps(obj))
+    second = blocks.near_cycle_factorization_doubled(4, 9)
+    assert second.strategy == blocks.SEARCH
+    assert second.decomposition.factors == first.decomposition.factors
+    assert entry.read_bytes() == good
 
 
 def test_unreadable_cache_entry_is_a_miss(tmp_path, monkeypatch):

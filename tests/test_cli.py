@@ -71,6 +71,36 @@ def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     assert run(["verify", str(mangled)]) == 1
 
 
+def _float_slot(obj):
+    vertex = obj["factors"][0]["cycles"][0][0]
+    vertex[1] = float(vertex[1])
+
+
+def _bool_hole(obj):
+    factor = next(f for f in obj["factors"] if f["hole"] == 1)
+    factor["hole"] = True
+
+
+def _str_lambda(obj):
+    obj["params"]["lambda"] = str(obj["params"]["lambda"])
+
+
+@pytest.mark.parametrize("edit", [_float_slot, _bool_hole, _str_lambda],
+                         ids=["float-slot", "bool-hole", "str-lambda"])
+def test_verify_rejects_non_integer_values(tmp_path, capsys, edit):
+    # each edit keeps the value int() would give, so only the type is wrong
+    out = tmp_path / "out.json"
+    assert run(["build", "--lambda", "2", "--k", "4", "--u", "5", "--g", "2",
+                "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    edit(obj)
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read decomposition") and "OK" not in captured.out
+
+
 def _claim(tmp_path, lam, k, u, g, factors):
     path = tmp_path / "claim.json"
     path.write_text(json.dumps({"params": {"lambda": lam, "k": k, "u": u, "g": g},

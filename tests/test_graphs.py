@@ -235,3 +235,26 @@ def test_partial_factor_edges_and_span():
     assert {v for c in pf.cycles for v in c} == {(p, s) for p in range(3) for s in range(3)}
     cycles = graphs.assemble_from_distances((0, 1, 2), (1, 1, 2), 3)
     assert {len(c) for c in cycles} == {9} and len(cycles) == 1  # jump sum 4, coprime to 3
+
+
+def _hosts():
+    for lam in (1, 2):
+        yield from (graphs.tensor_complete(u, g, lam) for u in (2, 3, 4) for g in (2, 3))
+        yield from (graphs.complete_graph(n, lam) for n in (2, 3, 5))
+    yield from (graphs.multipartite_complete(u, g, 1) for u in (2, 3, 4) for g in (1, 2, 3))
+    yield from (blocks.bipartite_host(n) for n in (1, 2, 3))
+    yield from (blocks.cycle_lex_host(m, n) for m in (3, 4, 5) for n in (1, 2, 3))
+    yield from (blocks.cycle_times_complete_host(kk, m) for kk in (3, 4, 5) for m in (2, 3))
+    for k in (6, 8):
+        _, cubic = blocks.walecki_split(k)
+        yield graphs.MultiGraph(k, 3, {e: 1 for e in cubic}, True)
+
+
+def test_host_rule_matches_its_listing():
+    for host in _hosts():
+        edges = host.edges
+        assert host.edge_count() == sum(edges.values())
+        # every vertex pair, same-part and same-slot pairs included
+        for a, b in itertools.combinations(host.vertices(), 2):
+            e = graphs.edge_key(a, b)
+            assert host.multiplicity(e) == edges.get(e, 0), (host, e)
