@@ -207,25 +207,15 @@ def check_feasibility(p: Params) -> Feasibility:
         return Feasibility(INFEASIBLE, "lambda*(g-1) must be even")
     if (g * (u - 1)) % k != 0:
         return Feasibility(INFEASIBLE, f"g*(u-1) must be divisible by k={k}")
-    if lam % 2 == 0:
-        family = _even_lambda_exception(k, u, g)
-        if family:
-            return Feasibility(OPEN_EXCEPTION, family)
-        match = _match_lambda2(k, u, g)
-        if match is None:
-            return Feasibility(UNSUPPORTED, "no implemented construction covers these parameters")
-        case, sp = match
-        return Feasibility(FEASIBLE, f"case {case}", case, sp)
-    family = _odd_lambda_exception(k, u, g)
+    family = (_odd_lambda_exception if lam % 2 else _even_lambda_exception)(k, u, g)
     if family:
         return Feasibility(OPEN_EXCEPTION, family)
-    match1 = _match_lambda1(k, u, g)
-    if match1 is None:
+    # lambda = a*1 + b*2: an odd lambda needs a single copy, an even one
+    # prefers doubled copies and falls back to single ones
+    match = (lam % 2 == 0 and _match_lambda2(k, u, g)) or _match_lambda1(k, u, g)
+    if match is None:
         return Feasibility(UNSUPPORTED, "no implemented construction covers these parameters")
-    if lam > 1 and _match_lambda2(k, u, g) is None:
-        return Feasibility(UNSUPPORTED,
-                           "odd lambda > 1 needs both the single and the doubled route")
-    case, sp = match1
+    case, sp = match
     return Feasibility(FEASIBLE, f"case {case}", case, sp)
 
 
@@ -443,25 +433,27 @@ def _build_lambda1(p: Params, case: str, split: PrimeSplit | None) -> list[Parti
 
 
 def build_arcs(p: Params, verify: bool = True) -> Decomposition:
-    """Dispatch on the matched case; for lambda > 2 stack copies of the
-    lambda <= 2 solutions.  The result is re-verified unless verify=False."""
+    """Dispatch on the matched case and stack lambda = a*1 + b*2 copies of
+    the lambda = 1 and lambda = 2 solutions: as many doubled copies as the
+    doubled route allows, else single copies only.  The result is
+    re-verified unless verify=False."""
     feas = check_feasibility(p)
     if not feas:
         raise ArcsUnavailable(feas)
     lam, k, u, g = p.lam, p.k, p.u, p.g
+    match2 = _match_lambda2(k, u, g) if lam > 1 else None
+    doubles = lam // 2 if match2 else 0
+    singles = lam - 2 * doubles
     batches: list[tuple[str, list[PartialFactor]]] = []
-    if lam % 2 == 0:
-        base = _build_lambda2(Params(2, k, u, g), feas.case, feas.split)
-        for copy in range(lam // 2):
-            batches.append((f"{feas.case}[copy {copy}]", base))
-    else:
-        base1 = _build_lambda1(Params(1, k, u, g), feas.case, feas.split)
-        batches.append((f"{feas.case}[single]", base1))
-        if lam > 1:
-            case2, split2 = _match_lambda2(k, u, g)
-            base2 = _build_lambda2(Params(2, k, u, g), case2, split2)
-            for copy in range((lam - 1) // 2):
-                batches.append((f"{case2}[copy {copy}]", base2))
+    if singles:
+        case1, split1 = _match_lambda1(k, u, g)
+        base1 = _build_lambda1(Params(1, k, u, g), case1, split1)
+        tags = ["single"] if singles == 1 else [f"single copy {i}" for i in range(singles)]
+        batches.extend((f"{case1}[{tag}]", base1) for tag in tags)
+    if doubles:
+        case2, split2 = match2
+        base2 = _build_lambda2(Params(2, k, u, g), case2, split2)
+        batches.extend((f"{case2}[copy {i}]", base2) for i in range(doubles))
     factors: list[PartialFactor] = []
     provenance: list[str] = []
     for tag, batch in batches:

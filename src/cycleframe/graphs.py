@@ -104,11 +104,17 @@ def canonical_cycle(vertices) -> Cycle:
     """Least rotation over both traversal directions; fixes a unique form.
 
     On distinct vertices it starts at the least vertex, in either direction.
+    A cycle already in that form is returned as it is: starting at its least
+    vertex with the lesser second element, it is the least rotation even
+    when vertices repeat.
     """
     vs = tuple(vertices)
     if not vs:
         raise ParameterError("empty cycle")
-    i = vs.index(min(vs))
+    least = min(vs)
+    if vs[0] == least and len(vs) > 2 and vs[1] < vs[-1]:
+        return vs
+    i = vs.index(least)
     f = vs[i:] + vs[:i]
     return min(f, f[:1] + f[:0:-1])
 

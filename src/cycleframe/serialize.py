@@ -61,8 +61,48 @@ def decomposition_from_obj(obj: dict[str, Any]):
     return params, Decomposition(factors, provenance)
 
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _VertexStrings(dict):
+    """Vertex (as a tuple) -> its JSON text, encoded on first use."""
+
+    def __missing__(self, key):
+        p, s = _vertex(key)
+        text = self[key] = f"[{p},{s}]"
+        return text
+
+
+def _object(texts: dict[str, str]) -> str:
+    """A JSON object from its already encoded values, keys sorted."""
+    return "{" + ",".join([_dumps(key) + ":" + texts[key] for key in sorted(texts)]) + "}"
+
+
+def _cycles(cycles, vertex) -> str:
+    if not cycles:
+        return "[]"
+    return "[[" + "],[".join([",".join(map(vertex, map(tuple, cyc))) for cyc in cycles]) + "]]"
+
+
 def canonical_json_bytes(obj: Any) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    """The sorted-key, compact JSON bytes of `obj`, newline-terminated.
+
+    The bytes are those of `json.dumps(obj, sort_keys=True, separators=(",",
+    ":"))`.  In a document with a `factors` list (of objects), the cycles of
+    each factor are joined from one string per distinct vertex, so their
+    vertices must be integer pairs (tuples or lists): a vertex first seen
+    with another coordinate type raises ValueError, and as the lookup is by
+    value, a float equal to an integer already seen takes the integer's
+    text.  Every other value goes through `json.dumps`.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("factors"), list):
+        return (_dumps(obj) + "\n").encode("ascii")
+    vertex = _VertexStrings().__getitem__
+    factors = [_object({key: _cycles(val, vertex) if key == "cycles" else _dumps(val)
+                        for key, val in f.items()}) for f in obj["factors"]]
+    texts = {key: _dumps(val) for key, val in obj.items() if key != "factors"}
+    texts["factors"] = "[" + ",".join(factors) + "]"
+    return (_object(texts) + "\n").encode("ascii")
 
 
 def factors_payload(host: MultiGraph, factors, provenance) -> dict[str, Any]:

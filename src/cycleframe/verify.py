@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import search
-from .graphs import (Decomposition, Edge, MultiGraph, PartialFactor,
-                     UnsupportedBlockError, Vertex, tensor_complete)
+from .graphs import (Decomposition, MultiGraph, PartialFactor, UnsupportedBlockError,
+                     tensor_complete)
 
 
 @dataclass(frozen=True)
@@ -34,38 +34,57 @@ OK = Result(True)
 
 
 def _cover(factors, num_parts: int, part_size: int, k: int | None,
-           multiplicity, total: int) -> Result:
+           pairs: dict[tuple[int, int], int] | int, distinct_slots: bool,
+           total: int) -> Result:
     """Walk every cycle once: is the claimed edge multiset exactly the host's?
 
     Each factor must be vertex-disjoint k-cycles (k None: the factor's own
-    cycle length) spanning the host vertices outside its hole.  No edge may
-    be used more often than `multiplicity(edge)`, so the claimed edges
-    summing to the host's `total` means every edge is covered exactly.
+    cycle length) spanning the host vertices outside its hole.  The host is
+    a rule: parts p < q are joined by `pairs[(p, q)]` copies of each slot
+    pair (an int `pairs`: that many for every two parts), of distinct slots
+    only when `distinct_slots` is set.  No edge may be used more often than
+    the rule allows, so the claimed edges summing to the host's `total` means
+    every edge is covered exactly.
+
+    A vertex is counted by its id p*part_size + s once its range and hole
+    check passes (before it, (p, part_size) would alias (p+1, 0)), an edge
+    by a*n + b for ids a < b.  Both tables are keyed by the claimed ids only,
+    so memory is bounded by the claim, not by the host; failures report the
+    vertex tuples.
     """
-    used: dict[Edge, int] = {}
+    n = num_parts * part_size
+    table = pairs if isinstance(pairs, dict) else None
+    used: dict[int, int] = {}
     for fi, factor in enumerate(factors):
         length = factor.cycle_length if k is None else k
-        seen: dict[Vertex, int] = {}
+        hole = factor.hole
+        seen: dict[int, int] = {}
         for ci, cyc in enumerate(factor.cycles):
             if len(cyc) != length:
                 return Result.failure("cycle length mismatch", factor=fi, factor_cycle=ci,
                                       expected=length, actual=len(cyc))
             for v in cyc:
-                if v in seen:
-                    reason = "repeated vertex in cycle" if seen[v] == ci else "cycles share a vertex"
-                    return Result.failure(reason, factor=fi, factor_cycle=ci, vertex=v)
-                if not (0 <= v[0] < num_parts and 0 <= v[1] < part_size) or v[0] == factor.hole:
+                p, s = v
+                if not (0 <= p < num_parts and 0 <= s < part_size) or p == hole:
                     return Result.failure("span mismatch", factor=fi, factor_cycle=ci, vertex=v)
-                seen[v] = ci
-            prev = cyc[-1]
-            for v in cyc:
-                e = (prev, v) if prev < v else (v, prev)
-                n = used.get(e, 0) + 1
-                if n > multiplicity(e):
-                    reason = "edge over-covered" if n > 1 else "edge not in host"
-                    return Result.failure(reason, factor=fi, factor_cycle=ci, edge=e, claimed=n)
-                used[e] = n
-                prev = v
+                x = p * part_size + s
+                if x in seen:
+                    reason = "repeated vertex in cycle" if seen[x] == ci else "cycles share a vertex"
+                    return Result.failure(reason, factor=fi, factor_cycle=ci, vertex=v)
+                seen[x] = ci
+            pp, ps = cyc[-1]
+            a = pp * part_size + ps
+            for q, t in cyc:
+                b = q * part_size + t
+                e = a * n + b if a < b else b * n + a
+                c = used.get(e, 0) + 1
+                if c > (0 if pp == q or distinct_slots and ps == t else
+                        pairs if table is None else table.get((pp, q) if pp < q else (q, pp), 0)):
+                    ends = sorted(((pp, ps), (q, t)))
+                    return Result.failure("edge over-covered" if c > 1 else "edge not in host",
+                                          factor=fi, factor_cycle=ci, edge=tuple(ends), claimed=c)
+                used[e] = c
+                pp, ps, a = q, t, b
         span = (num_parts - (factor.hole is not None)) * part_size
         if len(seen) != span:
             return Result.failure("span mismatch", factor=fi, expected=span, actual=len(seen))
@@ -78,7 +97,7 @@ def _cover(factors, num_parts: int, part_size: int, k: int | None,
 def check_partition(host: MultiGraph, factors) -> Result:
     """Exact multiset partition check plus per-factor structural validity."""
     return _cover(factors, host.num_parts, host.part_size, None,
-                  host.multiplicity, host.edge_count())
+                  host.part_pairs, host.distinct_slots, host.edge_count())
 
 
 def verify_arcs(dec: Decomposition, params) -> Result:
@@ -106,9 +125,7 @@ def verify_arcs(dec: Decomposition, params) -> Result:
         if hole_counts[p] != want_per_hole:
             return Result.failure("per-hole count mismatch", part=p,
                                   expected=want_per_hole, actual=hole_counts[p])
-    return _cover(dec.factors, u, g, k,
-                  lambda e: lam if e[0][0] != e[1][0] and e[0][1] != e[1][1] else 0,
-                  lam * u * (u - 1) * g * (g - 1) // 2)
+    return _cover(dec.factors, u, g, k, lam, True, lam * u * (u - 1) * g * (g - 1) // 2)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from cycleframe import graphs
-from cycleframe.arcs import (ArcsUnavailable, Params, _splits,
+from cycleframe.arcs import (ArcsUnavailable, Params, _match_lambda1, _splits,
                              build_arcs, build_case_l1, build_case_primesplit_l1,
                              build_case_primesplit_l2, build_case_u1modk_l2,
                              build_case_u4x, build_case_uodd_g0modk_l2,
@@ -66,10 +66,30 @@ def test_unsupported_cases_are_reported_not_built():
             build_arcs(Params(*tup))
 
 
-def test_odd_lambda_needs_both_routes():
-    # lambda = 3 with a single-route-only pattern is unsupported
-    f = feasib(3, 12, 5, 3)
-    assert f.verdict == "unsupported"
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_single_route_cells_stack_single_copies(lam):
+    # (k, u, g) = (12, 5, 3) has the lambda = 1 route b and no doubled route,
+    # so every lambda is lambda single copies of the case b system
+    p = Params(lam, 12, 5, 3)
+    assert feasib(lam, 12, 5, 3).detail == "case b"
+    dec = build_arcs(p)
+    assert verify_arcs(dec, p)
+    single = build_arcs(Params(1, 12, 5, 3))
+    assert dec.factors == single.factors * lam
+    assert dec.provenance == tuple(f"case b[single copy {i}]"
+                                   for i in range(lam) for _ in single.factors)
+
+
+def test_no_cell_with_a_single_route_is_unsupported():
+    # lambda single copies of a lambda = 1 system are a lambda-fold system,
+    # so only an exception family may refuse such a cell
+    for k in range(4, 17, 2):
+        for u in range(3, 34):
+            for g in range(3, 25, 2):
+                if _match_lambda1(k, u, g) is None:
+                    continue
+                for lam in range(1, 6):
+                    assert feasib(lam, k, u, g).verdict in ("feasible", "open_exception")
 
 
 def test_expected_counts_formulas():

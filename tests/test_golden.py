@@ -12,12 +12,14 @@ tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
 blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
 even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
 y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2); a
-refactor that changes any output byte fails here.
+refactor that changes any output byte fails here.  The bytes must also be
+those of a plain sorted-key `json.dumps`, which the encoder only speeds up.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -55,5 +57,7 @@ GOLDEN = {
 @pytest.mark.parametrize("cell", sorted(GOLDEN))
 def test_output_bytes_match_recorded_digest(cell):
     p = Params(*cell)
-    data = canonical_json_bytes(decomposition_to_obj(build_arcs(p), p))
+    obj = decomposition_to_obj(build_arcs(p), p)
+    data = canonical_json_bytes(obj)
+    assert data == (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN[cell]

@@ -177,6 +177,17 @@ def test_canonical_cycle_is_least_rotation_or_reflection(vs):
     assert graphs.canonical_cycle(vs) == least
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=24))
+def test_canonical_cycle_with_repeated_vertices(vs):
+    """Reference: rotate to the first least vertex, then take the lesser
+    direction."""
+    vs = tuple(vs)
+    i = vs.index(min(vs))
+    forward = vs[i:] + vs[:i]
+    assert graphs.canonical_cycle(vs) == min(forward, forward[:1] + forward[:0:-1])
+
+
 def test_canonical_cycle_rejects_empty_cycle():
     with pytest.raises(graphs.ParameterError):
         graphs.canonical_cycle([])

@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from cycleframe import graphs
+from cycleframe import graphs, verify
 from cycleframe.arcs import Params, build_arcs, expected_counts
 from cycleframe.graphs import PartialFactor, Decomposition, tensor_complete
-from cycleframe.verify import brute_force_arcs, check_partition, verify_arcs
+from cycleframe.verify import Result, brute_force_arcs, check_partition, verify_arcs
 from multisets import edge_multiset
 
 
@@ -157,15 +157,92 @@ def _edit(dec, p, rng):
     return Decomposition(tuple(factors), dec.provenance)
 
 
+def reference_cover(factors, num_parts, part_size, k, multiplicity, total):
+    """Tuple-keyed walk of every cycle, asking `multiplicity(edge)` per edge:
+    the oracle for `verify._cover`, down to its failure reasons and paths."""
+    used = {}
+    for fi, factor in enumerate(factors):
+        length = factor.cycle_length if k is None else k
+        seen = {}
+        for ci, cyc in enumerate(factor.cycles):
+            if len(cyc) != length:
+                return Result.failure("cycle length mismatch", factor=fi, factor_cycle=ci,
+                                      expected=length, actual=len(cyc))
+            for v in cyc:
+                if v in seen:
+                    reason = "repeated vertex in cycle" if seen[v] == ci else "cycles share a vertex"
+                    return Result.failure(reason, factor=fi, factor_cycle=ci, vertex=v)
+                if not (0 <= v[0] < num_parts and 0 <= v[1] < part_size) or v[0] == factor.hole:
+                    return Result.failure("span mismatch", factor=fi, factor_cycle=ci, vertex=v)
+                seen[v] = ci
+            prev = cyc[-1]
+            for v in cyc:
+                e = (prev, v) if prev < v else (v, prev)
+                n = used.get(e, 0) + 1
+                if n > multiplicity(e):
+                    reason = "edge over-covered" if n > 1 else "edge not in host"
+                    return Result.failure(reason, factor=fi, factor_cycle=ci, edge=e, claimed=n)
+                used[e] = n
+                prev = v
+        span = (num_parts - (factor.hole is not None)) * part_size
+        if len(seen) != span:
+            return Result.failure("span mismatch", factor=fi, expected=span, actual=len(seen))
+    claimed = sum(used.values())
+    if claimed != total:
+        return Result.failure("edge under-covered", claimed=claimed, expected=total)
+    return verify.OK
+
+
+def reference_result(dec, p, monkeypatch):
+    """verify_arcs with its cover walk replaced by `reference_cover` on the
+    host's own multiplicity rule."""
+    host = tensor_complete(p.u, p.g, p.lam)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_cover", lambda factors, u, g, k, *rule: reference_cover(
+            factors, u, g, k, host.multiplicity, host.edge_count()))
+        return verify_arcs(dec, p)
+
+
 @pytest.mark.parametrize("tup", [(2, 4, 5, 2), (2, 4, 5, 3), (1, 4, 5, 3)])
-def test_verify_arcs_agrees_with_reference_verifier(tup):
+def test_verify_arcs_agrees_with_reference_verifier(tup, monkeypatch):
     p = Params(*tup)
     dec = build_arcs(p)
     assert reference_verdict(dec, p) and verify_arcs(dec, p)
     rng = random.Random(4)
     for _ in range(300):
         edited = _edit(dec, p, rng)
-        assert bool(verify_arcs(edited, p)) == reference_verdict(edited, p)
+        result = verify_arcs(edited, p)
+        assert bool(result) == reference_verdict(edited, p)
+        assert result == reference_result(edited, p, monkeypatch)
+
+
+@pytest.mark.parametrize("tup", [(2, 4, 5, 2), (1, 4, 5, 3)])
+def test_check_partition_agrees_with_reference_cover(tup):
+    p = Params(*tup)
+    dec = build_arcs(p)
+    host = tensor_complete(p.u, p.g, p.lam)
+    rng = random.Random(5)
+    for _ in range(100):
+        factors = _edit(dec, p, rng).factors
+        assert check_partition(host, factors) == reference_cover(
+            factors, p.u, p.g, None, host.multiplicity, host.edge_count())
+
+
+@pytest.mark.parametrize("off_host", ["slot g", "slot -1", "part u", "part -1"])
+def test_off_host_vertex_is_a_span_mismatch_not_its_neighbour(off_host):
+    # as an id p*g + s, each of these would be a host vertex: (p, g) is
+    # (p+1, 0), (p, -1) is (p-1, g-1), (u, 0) and (-1, s) are one past the ends
+    p = Params(2, 4, 5, 3)
+    dec = build_arcs(p)
+    f = dec.factors[1]
+    cyc = list(f.cycles[0])
+    part, slot = cyc[1]
+    vertex = {"slot g": (part, p.g), "slot -1": (part, -1),
+              "part u": (p.u, slot), "part -1": (-1, slot)}[off_host]
+    cyc[1] = vertex
+    edited = _with_factor(dec, 1, PartialFactor(4, f.hole, (tuple(cyc),) + f.cycles[1:]))
+    result = verify_arcs(edited, p)
+    assert result == Result.failure("span mismatch", factor=1, factor_cycle=0, vertex=vertex)
 
 
 def _with_factor(dec, fi, factor):
