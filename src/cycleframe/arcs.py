@@ -40,22 +40,10 @@ class Params:
 
 @dataclass(frozen=True)
 class PrimeSplit:
-    primes: tuple[int, ...]
-    cut: int
+    """k = r*s with r, s >= 2."""
 
-    @property
-    def r(self) -> int:
-        out = 1
-        for p in self.primes[:self.cut]:
-            out *= p
-        return out
-
-    @property
-    def s(self) -> int:
-        out = 1
-        for p in self.primes[self.cut:]:
-            out *= p
-        return out
+    r: int
+    s: int
 
 
 @dataclass(frozen=True)
@@ -96,15 +84,7 @@ def _omega(n: int) -> int:
 
 def _splits(k: int) -> list[PrimeSplit]:
     """Proper two-sided prime splits of k, ordered by ascending r."""
-    out = []
-    for r in range(2, k):
-        if k % r == 0:
-            s = k // r
-            if s >= 2:
-                out.append(PrimeSplit(tuple(sorted(_factorize(r)) + sorted(_factorize(s))),
-                                      _omega(r)))
-    out.sort(key=lambda sp: sp.r)
-    return out
+    return [PrimeSplit(r, k // r) for r in range(2, k) if k % r == 0]
 
 
 def expected_counts(p: Params) -> tuple[int, int, int]:

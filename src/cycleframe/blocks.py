@@ -4,7 +4,8 @@ Each provider returns its factorization as a verified decomposition of an
 explicit host graph.  Where a closed form is classical (rotational near
 1-factorizations and the even-x frame of partial ones, Walecki cycles,
 distance threading, the hub-and-groups spread of K_{r+1} blocks, mirrored
-rotational bases) it is built directly;
+rotational bases, the perfect 1-factorization of the Walecki remainder) it
+is built directly;
 this covers the doubled complete blocks of even cycle length, though the
 near ones with u = 2L+1 first try a short search so that the bases it finds
 keep their bytes.
@@ -243,7 +244,12 @@ def walecki_split(k: int):
     """K_k = (k/2 - 2) Hamilton cycles + a cubic remainder (k even >= 6).
 
     The remainder is the last Walecki cycle plus the leftover perfect
-    matching; the pieces are returned as (cycles, remainder edge list).
+    matching, returned as three perfect matchings: the cycle's even-position
+    edges, its odd-position edges and the leftover, as (cycles, matchings).
+    Over Z_{k-1} they pair x with c - x for c = -3, -2, -1, each adding the
+    edge from inf to the fixed point; two of these reflections compose to a
+    translation by 1 or 2, which generates Z_{k-1}, so any two matchings
+    form one Hamilton cycle: a perfect 1-factorization of the remainder.
     """
     if k < 6 or k % 2 != 0:
         raise ParameterError(f"walecki split needs even k >= 6, got {k}")
@@ -252,13 +258,13 @@ def walecki_split(k: int):
     for cyc in cycles:
         for i in range(k):
             used[tuple(sorted((cyc[i], cyc[(i + 1) % k])))] += 1
-    matching = [e for e in itertools.combinations(range(k), 2) if used[e] == 0]
-    if any(m > 1 for m in used.values()) or len(matching) != k // 2:
+    leftover = [e for e in itertools.combinations(range(k), 2) if used[e] == 0]
+    if any(m > 1 for m in used.values()) or len(leftover) != k // 2:
         raise ConstructionBugError("walecki split did not tile K_k")
-    free = cycles[:-1]
-    cubic = sorted(matching + [tuple(sorted((cycles[-1][i], cycles[-1][(i + 1) % k])))
-                               for i in range(k)])
-    return free, cubic
+    last = cycles[-1]
+    halves = [sorted(tuple(sorted((last[i], last[(i + 1) % k]))) for i in range(parity, k, 2))
+              for parity in (0, 1)]
+    return cycles[:-1], halves + [leftover]
 
 
 def hamilton_decomposition_complete_odd(t: int) -> list[tuple[int, ...]]:
@@ -588,49 +594,7 @@ def lex_cycle_factorization(m: int, n: int, target_gcd: int = 1) -> BlockResult:
 
 
 # ---------------------------------------------------------------------------
-# Search-backed specials
-
-
-def _perfect_one_factorization(k: int, cubic):
-    """1-factorization of a cubic graph whose pairwise unions are Hamilton.
-
-    Enumerates perfect matchings whose removal leaves a Hamilton cycle; the
-    cycle's two alternating matchings complete the candidate.  Returns the
-    three 1-factors or None.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in range(k)}
-    for a, b in cubic:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    def hamilton_after_removal(matching) -> tuple[int, ...] | None:
-        removed = set(matching)
-        cycles = trace_two_regular([e for e in cubic if e not in removed])
-        return cycles[0] if len(cycles) == 1 else None
-
-    matchings: list[list[tuple[int, int]]] = []
-
-    def enum(uncov: set[int], cur: list[tuple[int, int]]):
-        if not uncov:
-            matchings.append(list(cur))
-            return
-        a = min(uncov)
-        for b in adj[a]:
-            if b in uncov and b != a:
-                cur.append(tuple(sorted((a, b))))
-                enum(uncov - {a, b}, cur)
-                cur.pop()
-
-    enum(set(range(k)), [])
-    for m1 in matchings:
-        cyc = hamilton_after_removal(m1)
-        if cyc is None:
-            continue
-        m2 = [tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(0, k, 2)]
-        m3 = [tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(1, k, 2)]
-        if hamilton_after_removal(m2) is not None and hamilton_after_removal(m3) is not None:
-            return [sorted(m1), sorted(m2), sorted(m3)]
-    return None
+# Cubic blow-ups and tripartite blocks
 
 
 def _thread_k3_over_p1f(k: int, one_factors):
@@ -638,93 +602,77 @@ def _thread_k3_over_p1f(k: int, one_factors):
 
     Factor m lives on the Hamilton cycle G minus L_m; the two factors sharing
     an edge take complementary distances, and each factor's oriented distance
-    sum must vanish mod 3 so its cycles close after k steps.  The bit per
-    edge that satisfies all three sums is found by exhaustive backtracking
-    over the edges (at most 3k/2 bits).
+    sum must vanish mod 3 so its cycles close after k steps.  The bits are the
+    lexicographically first that close all three sums: each of the 3k/2
+    edges takes distance 1 unless the sums mod 3 that the edges after it can
+    add would then not close them.
     """
-    adj_removed = []
-    hams = []
     all_edges = sorted({e for lf in one_factors for e in lf})
-    edge_owner_factors = {}
+    if len(all_edges) != sum(map(len, one_factors)):
+        raise ParameterError("the 1-factors share an edge")
+    hams = []
     for m in range(3):
         removed = set(one_factors[m])
-        keep = [e for e in all_edges if e not in removed]
-        cyc = trace_two_regular(keep)
-        if len(cyc) != 1 or len(cyc[0]) != k:
-            return None
+        cyc = trace_two_regular([e for e in all_edges if e not in removed])
+        if len(cyc) != 1 or sorted(cyc[0]) != list(range(k)):
+            raise ParameterError(f"1-factor {m} does not leave a Hamilton cycle on 0..{k - 1}")
         hams.append(cyc[0])
-        adj_removed.append(removed)
-    for e in all_edges:
-        edge_owner_factors[e] = [m for m in range(3) if e not in adj_removed[m]]
-    # position and direction of every edge inside each Hamilton that uses it
-    place: dict[tuple[int, tuple[int, int]], tuple[int, bool]] = {}
+    # the two factors through each edge, with the edge's direction in each
+    owners: dict[tuple[int, int], list[tuple[int, bool]]] = {e: [] for e in all_edges}
     for m, ham in enumerate(hams):
         for p in range(k):
             a, b = ham[p], ham[(p + 1) % k]
-            place[(m, tuple(sorted((a, b))))] = (p, a < b)
-    sums = [0, 0, 0]
-    choice: dict[tuple[int, int], int] = {}
+            owners[(a, b) if a < b else (b, a)].append((m, a < b))
 
     def oriented(n: int, forward: bool) -> int:
         return n if forward else 3 - n
 
-    def assign(i: int) -> bool:
-        if i == len(all_edges):
-            return all(s % 3 == 0 for s in sums)
-        e = all_edges[i]
-        mi, mj = edge_owner_factors[e]
-        for n in (1, 2):
-            oi = oriented(n, place[(mi, e)][1])
-            oj = oriented(3 - n, place[(mj, e)][1])
-            sums[mi] += oi
-            sums[mj] += oj
-            choice[e] = n
-            if assign(i + 1):
-                return True
-            sums[mi] -= oi
-            sums[mj] -= oj
-        choice.pop(e, None)
-        return False
+    def step(sums, e, n):
+        (mi, fi), (mj, fj) = owners[e]
+        out = list(sums)
+        out[mi] = (out[mi] + oriented(n, fi)) % 3
+        out[mj] = (out[mj] + oriented(3 - n, fj)) % 3
+        return tuple(out)
 
-    if not assign(0):
-        return None
+    # reach[j]: the sums the last j edges can add; once all 27, so for more
+    reach = [{(0, 0, 0)}]
+    while len(reach) <= len(all_edges) and len(reach[-1]) < 27:
+        reach.append({step(r, all_edges[-len(reach)], n) for r in reach[-1] for n in (1, 2)})
+    sums, choice = (0, 0, 0), {}
+    for i, e in enumerate(all_edges):
+        rest = len(all_edges) - 1 - i
+        for n in (1, 2):
+            after = step(sums, e, n)
+            if rest >= len(reach) or tuple(-s % 3 for s in after) in reach[rest]:
+                break
+        else:
+            raise ConstructionBugError(f"no threading bits close the K_3 blow-up at k = {k}")
+        sums, choice[e] = after, n
     factors = []
     for m, ham in enumerate(hams):
         dv = []
         for p in range(k):
-            e = tuple(sorted((ham[p], ham[(p + 1) % k])))
-            n = choice[e] if edge_owner_factors[e][0] == m else 3 - choice[e]
-            dv.append(oriented(n, place[(m, e)][1]))
+            a, b = ham[p], ham[(p + 1) % k]
+            e = (a, b) if a < b else (b, a)
+            n = choice[e] if owners[e][0][0] == m else 3 - choice[e]
+            dv.append(oriented(n, a < b))
         cycles = assemble_from_distances(ham, dv, 3)
         if any(len(c) != k for c in cycles):
-            return None
+            raise ConstructionBugError(f"threaded K_3 blow-up factor {m} has a cycle not of length {k}")
         factors.append(PartialFactor.build(k, None, cycles))
     return factors
 
 
-def cubic_times_k3_factorization(k: int, cubic_edges) -> BlockResult:
-    """Three C_k-factors of G x K_3 for a cubic G of order k."""
+def cubic_times_k3_factorization(k: int, one_factors) -> BlockResult:
+    """Three C_k-factors of G x K_3, G the union of three perfect matchings
+    of order k any two of which form a Hamilton cycle (`walecki_split`)."""
     if k == 4:
         raise ExceptionalCase("(k, m) = (4, 3) is the excluded cubic blow-up")
     if k < 6 or k % 2 != 0:
         raise ParameterError(f"cubic blow-up needs even k >= 6, got {k}")
-    cubic = sorted(tuple(sorted(e)) for e in cubic_edges)
-    degrees: Counter = Counter()
-    for a, b in cubic:
-        degrees[a] += 1
-        degrees[b] += 1
-    if sorted(degrees) != list(range(k)) or set(degrees.values()) != {3}:
-        raise ParameterError("remainder graph is not cubic on 0..k-1")
-    host = MultiGraph(k, 3, dict.fromkeys(cubic, 1), True)
-
-    p1f = _perfect_one_factorization(k, cubic)
-    if p1f is not None:
-        factors = _thread_k3_over_p1f(k, p1f)
-        if factors is not None:
-            return _finish(host, factors, EXPLICIT, "cubic_blowup_p1f")
-
-    params = (k,) + tuple(v for e in cubic for v in e)
-    return _searched("cubic_times_k3", params, host, k, [None] * 3, "cubic_blowup_search")
+    one_factors = [sorted(tuple(sorted(e)) for e in lf) for lf in one_factors]
+    host = MultiGraph(k, 3, dict.fromkeys((e for lf in one_factors for e in lf), 1), True)
+    return _finish(host, _thread_k3_over_p1f(k, one_factors), EXPLICIT, "cubic_blowup_p1f")
 
 
 def ct_factorization_tripartite(t: int) -> BlockResult:

@@ -145,16 +145,17 @@ def _k3_times_kk_base(k: int) -> list[PartialFactor]:
     """C_k-factors of K_3 x K_k via the Walecki split of the slot side.
 
     Built transposed (k parts of size 3): each free Hamilton cycle carries
-    two alternating threadings, the cubic remainder goes through its
-    1-factorization threading, then everything is flipped back.
+    two alternating threadings, the cubic remainder goes through the
+    threading over its three perfect matchings, then everything is flipped
+    back.
     """
-    hams, cubic = blocks.walecki_split(k)
+    hams, one_factors = blocks.walecki_split(k)
     transposed = []
     for ham in hams:
         for r in (1, 2):
             dv = [r if pos % 2 == 0 else 3 - r for pos in range(k)]
             transposed.append(PartialFactor.build(k, None, assemble_from_distances(ham, dv, 3)))
-    transposed.extend(blocks.cubic_times_k3_factorization(k, cubic).decomposition.factors)
+    transposed.extend(blocks.cubic_times_k3_factorization(k, one_factors).decomposition.factors)
     return [transpose_factor(f) for f in transposed]
 
 

@@ -159,8 +159,8 @@ def test_criterion_7_block_unit_properties():
         union = edge_multiset(dec.factors)
         assert set(union.values()) == {2} and len(union) == (k + 1) * k // 2
     for k in range(6, 17, 2):
-        hams, cubic = blocks.walecki_split(k)
-        union = Counter(cubic)
+        hams, one_factors = blocks.walecki_split(k)
+        union = Counter(e for lf in one_factors for e in lf)
         for cyc in hams:
             union.update(tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(k))
         assert union == Counter({e: 1 for e in itertools.combinations(range(k), 2)})

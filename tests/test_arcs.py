@@ -101,7 +101,6 @@ def test_expected_counts_formulas():
 def test_prime_splits():
     sps = _splits(12)
     assert [(sp.r, sp.s) for sp in sps] == [(2, 6), (3, 4), (4, 3), (6, 2)]
-    assert sps[1].primes == (3, 2, 2)
 
 
 # ---------------------------------------------------------------------------

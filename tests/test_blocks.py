@@ -72,8 +72,9 @@ def test_partial_one_factorization_parity_rejection():
 
 @pytest.mark.parametrize("k", [6, 8, 10, 12, 14, 16])
 def test_walecki_split_partitions_complete_graph(k):
-    hams, cubic = blocks.walecki_split(k)
+    hams, one_factors = blocks.walecki_split(k)
     assert len(hams) == k // 2 - 2
+    cubic = [e for lf in one_factors for e in lf]
     union = Counter(cubic)
     for cyc in hams:
         assert sorted(cyc) == list(range(k))
@@ -84,6 +85,20 @@ def test_walecki_split_partitions_complete_graph(k):
         degrees[a] += 1
         degrees[b] += 1
     assert set(degrees.values()) == {3}
+
+
+@pytest.mark.parametrize("k", range(6, 101, 2))
+def test_walecki_remainder_is_a_perfect_one_factorization(k):
+    hams, one_factors = blocks.walecki_split(k)
+    assert len(one_factors) == 3
+    for lf in one_factors:
+        assert sorted(v for e in lf for v in e) == list(range(k))
+    remainder = all_pairs(k) - Counter(tuple(sorted((cyc[i], cyc[(i + 1) % k])))
+                                       for cyc in hams for i in range(k))
+    assert Counter(e for lf in one_factors for e in lf) == remainder
+    for a, b in itertools.combinations(one_factors, 2):
+        cycles = graphs.trace_two_regular(a + b)
+        assert len(cycles) == 1 and sorted(cycles[0]) == list(range(k))
 
 
 def test_walecki_split_rejects_small_or_odd():
@@ -332,17 +347,31 @@ def test_tripartite_rejects_degenerate():
 
 @pytest.mark.parametrize("k", [6, 8])
 def test_cubic_times_k3(k):
-    _, cubic = blocks.walecki_split(k)
-    dec = blocks.cubic_times_k3_factorization(k, cubic).decomposition
+    _, one_factors = blocks.walecki_split(k)
+    dec = blocks.cubic_times_k3_factorization(k, one_factors).decomposition
     assert len(dec.factors) == 3
     for f in dec.factors:
         assert f.cycle_length == k and len(f.cycles) == 3
+    cubic = [e for lf in one_factors for e in lf]
     assert check_partition(cubic_times_k3_host(k, cubic), dec.factors)
 
 
 def test_cubic_times_k3_exceptional_pair():
     with pytest.raises(graphs.ExceptionalCase):
-        blocks.cubic_times_k3_factorization(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+        blocks.cubic_times_k3_factorization(4, [[(0, 1), (2, 3)], [(1, 2), (0, 3)],
+                                                [(0, 2), (1, 3)]])
+
+
+def test_cubic_times_k3_rejects_one_factors_that_are_not_perfect():
+    # the three directions of the cube: any two of them form two 4-cycles
+    directions = [[(v, v | bit) for v in range(8) if not v & bit] for bit in (1, 2, 4)]
+    with pytest.raises(graphs.ParameterError):
+        blocks.cubic_times_k3_factorization(8, directions)
+    # removing any one leaves a Hamilton cycle, but the first two are equal
+    ham, other = (0, 1, 2, 3, 4, 5), (0, 2, 4, 1, 5, 3)
+    cycle_edges = [[tuple(sorted((c[i], c[i - 1]))) for i in range(6)] for c in (ham, other)]
+    with pytest.raises(graphs.ParameterError):
+        blocks.cubic_times_k3_factorization(6, [cycle_edges[1], cycle_edges[1], cycle_edges[0]])
 
 
 # ---------------------------------------------------------------------------

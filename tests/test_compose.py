@@ -79,6 +79,13 @@ def test_k3_times_kky(k, y, count):
         assert len(f.cycles) == 3 * y  # 3ky vertices in k-cycles
 
 
+@pytest.mark.parametrize("k", [40, 56])
+def test_k3_times_kk_from_the_walecki_remainder(k):
+    dec = compose.ck_factorization_k3_times_kky(k, 1)
+    assert len(dec.factors) == k - 1
+    assert check_partition(graphs.tensor_complete(3, k, 1), dec.factors)
+
+
 def test_k3_times_kky_exceptional_family():
     with pytest.raises(graphs.ExceptionalCase):
         compose.ck_factorization_k3_times_kky(6, 2)

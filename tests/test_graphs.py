@@ -257,8 +257,8 @@ def _hosts():
     yield from (blocks.cycle_lex_host(m, n) for m in (3, 4, 5) for n in (1, 2, 3))
     yield from (blocks.cycle_times_complete_host(kk, m) for kk in (3, 4, 5) for m in (2, 3))
     for k in (6, 8):
-        _, cubic = blocks.walecki_split(k)
-        yield graphs.MultiGraph(k, 3, {e: 1 for e in cubic}, True)
+        _, one_factors = blocks.walecki_split(k)
+        yield graphs.MultiGraph(k, 3, {e: 1 for lf in one_factors for e in lf}, True)
 
 
 def test_host_rule_matches_its_listing():
