@@ -237,7 +237,7 @@ def build_case_u1modk_l2(p: Params) -> list[PartialFactor]:
     if u % k != 1 or u <= k:
         raise ParameterError(f"case c needs u = 1 (mod k), got u={u}")
     near = blocks.near_cycle_factorization_doubled(k, u).decomposition
-    abstract = blocks.ck_factorization_cycle_times_complete(k, g).decomposition.factors
+    abstract = blocks.ring_factorization(k, g, k).decomposition.factors
     # near-factor vertices are (part, 0), so the blow-up only places parts
     return [blow_up(nf.cycles, f, g, k, nf.hole) for nf in near.factors for f in abstract]
 
@@ -289,13 +289,13 @@ def build_case_u4x(p: Params) -> list[PartialFactor]:
 
 def _abstract_cycle_route(r: int, g: int, s: int) -> list[PartialFactor]:
     """C_{rs}-factorization of the abstract C_r x K_g used by the split cases."""
-    if s % 2 == 1:
-        return blocks.ck_factorization_cycle_times_complete(r, g, s).decomposition.factors
-    try:
-        # aligned C_r x K_s holes plus a blown factor layer
-        return compose.cycle_times_blocked(r, s, g // s)
-    except (ParameterError, blocks.search.UnsupportedBlockError):
-        return blocks.ck_factorization_cycle_times_complete(r, g, s).decomposition.factors
+    if s % 2 == 0:
+        try:
+            # aligned C_r x K_s holes plus a blown factor layer
+            return compose.cycle_times_blocked(r, s, g // s)
+        except (ParameterError, blocks.search.UnsupportedBlockError):
+            pass
+    return blocks.ring_factorization(r, g, r * s).decomposition.factors
 
 
 def build_case_primesplit_l2(p: Params, split: PrimeSplit) -> list[PartialFactor]:
@@ -305,10 +305,6 @@ def build_case_primesplit_l2(p: Params, split: PrimeSplit) -> list[PartialFactor
     r, s = split.r, split.s
     if r * s != k or u % r != 1 or u <= r or g % s != 0:
         raise ParameterError(f"split case needs u = 1 (mod r) and s | g, got ({u}, {g}) for r={r}, s={s}")
-    if r == 2:
-        # doubled near 1-factors instead of near cycles: this split only
-        # fires with 2s | g, where it is the odd-u route verbatim
-        return build_case_uodd_g0modk_l2(p)
     near = blocks.near_cycle_factorization_doubled(r, u).decomposition
     abstract = _abstract_cycle_route(r, g, s)
     return [blow_up(nf.cycles, f, g, k, nf.hole) for nf in near.factors for f in abstract]
@@ -348,7 +344,7 @@ def _hub_and_groups(r: int, t: int, u: int, cycle_length: int,
 
 
 def _cycle_times_complete(r: int, t: int) -> Decomposition:
-    return blocks.ck_factorization_cycle_times_complete(r, t).decomposition
+    return blocks.ring_factorization(r, t, r).decomposition
 
 
 def build_case_l1(p: Params) -> list[PartialFactor]:
@@ -378,7 +374,7 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
     if q >= 3:
         outer = _hub_and_groups(r, q, u, r, compose.partial_ck_factorization_kplus1_times_t,
                                 _cycle_times_complete)
-        lex = blocks.lex_cycle_factorization(r, s).decomposition.factors
+        lex = blocks.ring_factorization(r, s, k, lex=True).decomposition.factors
         factors.extend(blow_up(of.cycles, lf, s, k, of.hole) for of in outer for lf in lex)
     return factors
 

@@ -72,8 +72,9 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
               holes, tag: str, first=None) -> BlockResult:
     """One factor per entry of `holes`, found behind the cache.
 
-    A cache entry is parsed and verified; one that fails is deleted and
-    rebuilt, and one that cannot be read is a miss.  `first()`, when given,
+    A cache entry holds only the factor list, read back at `cycle_length`
+    and verified; one that fails is deleted and rebuilt, and one that cannot
+    be read is a miss.  `first()`, when given,
     is a constructive attempt returning the cycles of each factor or raising
     UnsupportedBlockError; otherwise (or then) the edge search fills each
     factor over every vertex outside its hole part (None: the whole host).
@@ -82,9 +83,10 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
     """
     path = _cache_path(family, params)
     try:
-        factors = serialize.factors_from_payload(json.loads(path.read_text(encoding="ascii")))
-        if [(f.cycle_length, f.hole) for f in factors] != [(cycle_length, h) for h in holes]:
-            raise ValueError(f"cache entry for {family} {params} has the wrong shape")
+        obj = json.loads(path.read_text(encoding="ascii"))
+        factors = [serialize.factor_from_obj(f, cycle_length) for f in obj["factors"]]
+        if [f.hole for f in factors] != list(holes):
+            raise ValueError(f"cache entry for {family} {params} has the wrong holes")
         return _finish(host, factors, CACHED, tag)
     except OSError:
         pass  # missing or unreadable: a miss
@@ -110,7 +112,7 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(serialize.canonical_json_bytes(
-                serialize.factors_payload(host, factors, [family] * len(factors))))
+                {"factors": [serialize.factor_to_obj(f) for f in factors]}))
         os.replace(tmp, path)
     except OSError:
         os.unlink(tmp)
@@ -530,67 +532,34 @@ def cycle_times_complete_host(kk: int, m: int) -> MultiGraph:
     return MultiGraph(kk, m, _ring(kk), True)
 
 
-def ck_factorization_cycle_times_complete(kk: int, m: int, n: int = 1) -> BlockResult:
-    """C_{kk*n}-factorization of C_kk x K_m into m-1 factors (n | m).
-
-    Distance-array route: one slot jump per cycle position and factor, each
-    position using every nonzero jump exactly once, each row sum s chosen so
-    gcd(s, m) = m/n fixes the cycle length at kk*n.
-    """
-    if kk < 3 or m < 2 or n < 1 or m % n != 0:
-        raise ParameterError(f"cycle-times-complete got (kk={kk}, m={m}, n={n})")
-    if kk % 2 == 1 and m % 4 == 2:
-        raise ParameterError(
-            f"odd cycle length {kk} with part size {m} = 2 (mod 4) is outside the cited result")
-    host = cycle_times_complete_host(kk, m)
-    try:
-        rows = search.distance_array(kk, m, target_gcd=m // n)
-    except search.UnsupportedBlockError:
-        rows = None  # not every instance is uniform; fall back to edge search
-    if rows is not None:
-        factors = [PartialFactor.build(kk * n, None, assemble_from_distances(range(kk), row, m))
-                   for row in rows]
-        return _finish(host, factors, EXPLICIT, f"cycle_times_complete_n{n}")
-
-    return _searched("ck_factor_ckxkm", (kk, m, n), host, kk * n, [None] * (m - 1),
-                     f"cycle_times_complete_search_n{n}")
-
-
-def hamilton_decomp_cycle_times_complete(m: int, n: int) -> BlockResult:
-    """Hamilton decomposition of C_m x K_n for even n >= 2 (n-1 factors)."""
-    if m < 3 or n < 2 or n % 2 != 0:
-        raise ParameterError(f"hamilton cycle-times-complete needs m >= 3, even n, got ({m}, {n})")
-    try:
-        return ck_factorization_cycle_times_complete(m, n, n)
-    except ParameterError:
-        pass  # odd m with n = 2 (mod 4); a search that gave up is not rerun
-    return _searched("ham_cycle_times_complete", (m, n), cycle_times_complete_host(m, n),
-                     m * n, [None] * (n - 1), "hamilton_tensor_search")
-
-
 def cycle_lex_host(m: int, n: int) -> MultiGraph:
     """C_m (x) K̄_n: every slot pair of ring-adjacent parts."""
     return MultiGraph(m, n, _ring(m), False)
 
 
-def lex_cycle_factorization(m: int, n: int, target_gcd: int = 1) -> BlockResult:
-    """Factor C_m (x) K̄_n into n factors of cycles of length m*n/target_gcd."""
-    if m < 3 or n < 1:
-        raise ParameterError(f"lexicographic blow-up needs m >= 3, n >= 1, got ({m}, {n})")
-    if n % target_gcd != 0:
-        raise ParameterError("target must divide the part size")
-    cycle_len = m * n // target_gcd
-    host = cycle_lex_host(m, n)
-    try:
-        rows = search.distance_array(m, n, target_gcd=target_gcd, include_zero=True)
-        factors = [PartialFactor.build(cycle_len, None, assemble_from_distances(range(m), row, n))
-                   for row in rows]
-        return _finish(host, factors, EXPLICIT, "lex_blowup_rows")
-    except search.UnsupportedBlockError:
-        pass
+def ring_factorization(m: int, n: int, cycle_len: int, lex: bool = False) -> BlockResult:
+    """C_cycle_len-factorization of C_m x K_n (n-1 factors), or with `lex`
+    of C_m (x) K̄_n (n factors).
 
-    return _searched("ham_cycle_lex", (m, n, target_gcd), host, cycle_len, [None] * n,
-                     "lex_blowup_search")
+    Distance-array route: one slot jump per ring position and factor, each
+    position using every allowed jump (0 too with `lex`) exactly once, each
+    row sum s chosen so gcd(s, n) = m*n/cycle_len fixes the cycle length.
+    Where no array is found the edge search fills the gap.
+    """
+    if m < 3 or n < (1 if lex else 2) or cycle_len < m or cycle_len % m or n % (cycle_len // m):
+        raise ParameterError(f"ring factorization got (m={m}, n={n}, cycle_len={cycle_len})")
+    if not lex and m % 2 == 1 and n % 4 == 2 and cycle_len < m * n:
+        raise ParameterError(
+            f"odd ring {m} with part size {n} = 2 (mod 4) is outside the cited result")
+    host = (cycle_lex_host if lex else cycle_times_complete_host)(m, n)
+    try:
+        rows = search.distance_array(m, n, m * n // cycle_len, include_zero=lex)
+    except search.UnsupportedBlockError:  # not every instance is uniform
+        return _searched("ring", (m, n, cycle_len, int(lex)), host, cycle_len,
+                         [None] * (n if lex else n - 1), "ring_search")
+    factors = [PartialFactor.build(cycle_len, None, assemble_from_distances(range(m), row, n))
+               for row in rows]
+    return _finish(host, factors, EXPLICIT, "ring_rows")
 
 
 # ---------------------------------------------------------------------------

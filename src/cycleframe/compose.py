@@ -183,7 +183,7 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
             factors.extend(blow_up(tri_factor.cycles, level, k, k) for level in ttt)
     else:
         bip = blocks.ck_factorization_bipartite(k, k, k).decomposition.factors
-        hams = blocks.hamilton_decomp_cycle_times_complete(3, y).decomposition.factors
+        hams = blocks.ring_factorization(3, y, 3 * y).decomposition.factors
         for ham in hams:
             cyc = ham.cycles[0]
             length = len(cyc)
@@ -214,8 +214,8 @@ def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFact
     factors = []
     if num_blocks >= 2:
         try:
-            lex = blocks.lex_cycle_factorization(k, block).decomposition.factors
-            outer = blocks.ck_factorization_cycle_times_complete(k, num_blocks).decomposition.factors
+            lex = blocks.ring_factorization(k, block, k * block, lex=True).decomposition.factors
+            outer = blocks.ring_factorization(k, num_blocks, k).decomposition.factors
             factors.extend(blow_up(outer_factor.cycles, lex_factor, block, k * block)
                            for outer_factor in outer for lex_factor in lex)
         except ParameterError:
@@ -224,12 +224,12 @@ def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFact
             # them back to length k*block inside the lexicographic inflation
             if block % num_blocks != 0:
                 raise
-            hams = blocks.hamilton_decomp_cycle_times_complete(k, num_blocks).decomposition.factors
-            lex = blocks.lex_cycle_factorization(k * num_blocks, block,
-                                                 num_blocks).decomposition.factors
+            hams = blocks.ring_factorization(k, num_blocks, k * num_blocks).decomposition.factors
+            lex = blocks.ring_factorization(k * num_blocks, block, k * block,
+                                            lex=True).decomposition.factors
             factors.extend(blow_up(ham.cycles, lex_factor, block, k * block)
                            for ham in hams for lex_factor in lex)
-    pten = blocks.hamilton_decomp_cycle_times_complete(k, block).decomposition.factors
+    pten = blocks.ring_factorization(k, block, k * block).decomposition.factors
     copies = [[(p, b) for p in range(k)] for b in range(num_blocks)]
     factors.extend(blow_up(copies, hole_factor, block, k * block) for hole_factor in pten)
     return factors

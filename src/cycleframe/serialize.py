@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .graphs import Decomposition, MultiGraph, PartialFactor
+from .graphs import Decomposition, PartialFactor
 
 
 def factor_to_obj(factor: PartialFactor) -> dict[str, Any]:
@@ -104,17 +104,3 @@ def canonical_json_bytes(obj: Any) -> bytes:
     texts["factors"] = "[" + ",".join(factors) + "]"
     return (_object(texts) + "\n").encode("ascii")
 
-
-def factors_payload(host: MultiGraph, factors, provenance) -> dict[str, Any]:
-    """Cache payload for non-ARCS hosts (block decompositions)."""
-    return {
-        "host": {"num_parts": host.num_parts, "part_size": host.part_size},
-        "factors": [factor_to_obj(f) for f in factors],
-        "cycle_lengths": [f.cycle_length for f in factors],
-        "provenance": list(provenance),
-    }
-
-
-def factors_from_payload(obj: dict[str, Any]) -> list[PartialFactor]:
-    return [factor_from_obj(f, _int(length))
-            for f, length in zip(obj["factors"], obj["cycle_lengths"])]

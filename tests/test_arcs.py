@@ -142,8 +142,7 @@ def test_build_case_u4x_rejects_x2():
         build_case_u4x(Params(2, 6, 8, 6))
 
 
-@pytest.mark.parametrize("tup,r,s", [((2, 6, 3, 6), 2, 3), ((2, 12, 5, 6), 4, 3),
-                                     ((2, 6, 4, 4), 3, 2)])
+@pytest.mark.parametrize("tup,r,s", [((2, 12, 5, 6), 4, 3), ((2, 6, 4, 4), 3, 2)])
 def test_build_case_primesplit_l2(tup, r, s):
     p = Params(*tup)
     split = next(sp for sp in _splits(p.k) if (sp.r, sp.s) == (r, s))

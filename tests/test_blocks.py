@@ -289,15 +289,15 @@ def test_cycle_times_complete_jump_rows():
 
 
 def test_cycle_times_complete_examples():
-    dec = blocks.ck_factorization_cycle_times_complete(4, 3).decomposition
+    dec = blocks.ring_factorization(4, 3, 4).decomposition
     assert len(dec.factors) == 2
-    dec = blocks.ck_factorization_cycle_times_complete(3, 3).decomposition
+    dec = blocks.ring_factorization(3, 3, 3).decomposition
     assert len(dec.factors) == 2
-    dec = blocks.ck_factorization_cycle_times_complete(4, 2).decomposition
+    dec = blocks.ring_factorization(4, 2, 4).decomposition
     assert len(dec.factors) == 1
     assert len(dec.factors[0].cycles) == 2  # C_4 x K_2 = 2 C_4
     with pytest.raises(graphs.ParameterError):
-        blocks.ck_factorization_cycle_times_complete(3, 2)  # odd cycle boundary
+        blocks.ring_factorization(3, 2, 3)  # odd cycle boundary
 
 
 def test_cycle_times_complete_host_is_the_ring_tensor_product():
@@ -313,16 +313,30 @@ def test_cycle_times_complete_host_is_the_ring_tensor_product():
 
 @pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (4, 4), (3, 4)])
 def test_hamilton_cycle_times_complete(m, n):
-    dec = blocks.hamilton_decomp_cycle_times_complete(m, n).decomposition
+    dec = blocks.ring_factorization(m, n, m * n).decomposition
     assert len(dec.factors) == n - 1
     for f in dec.factors:
         assert f.cycle_length == m * n and len(f.cycles) == 1
     assert check_partition(blocks.cycle_times_complete_host(m, n), dec.factors)
 
 
+@pytest.mark.parametrize("m,n", [(3, 2), (5, 2), (3, 6), (5, 6), (3, 10),
+                                 (7, 6), (9, 6), (3, 14)])
+def test_hamilton_ring_blocks_never_search(monkeypatch, m, n):
+    # odd rings with n = 2 (mod 4) thread distance rows like every other
+    # Hamilton block; the edge search of these took a minute or ran out
+    def no_search(*args, **kwargs):
+        raise AssertionError("the edge search ran")
+
+    monkeypatch.setattr(search, "decompose_into_factors", no_search)
+    res = blocks.ring_factorization(m, n, m * n)
+    assert res.strategy == blocks.EXPLICIT
+    assert check_partition(blocks.cycle_times_complete_host(m, n), res.decomposition.factors)
+
+
 @pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (3, 3), (3, 2), (4, 8)])
 def test_hamilton_cycle_lex_empty(m, n):
-    dec = blocks.lex_cycle_factorization(m, n).decomposition
+    dec = blocks.ring_factorization(m, n, m * n, lex=True).decomposition
     assert len(dec.factors) == n
     for f in dec.factors:
         assert f.cycle_length == m * n and len(f.cycles) == 1
@@ -401,7 +415,7 @@ def test_failed_hamilton_search_is_not_repeated(tmp_path, monkeypatch):
     monkeypatch.setattr(search, "distance_array", no_rows)
     monkeypatch.setattr(search, "decompose_into_factors", no_cover)
     with pytest.raises(graphs.UnsupportedBlockError):
-        blocks.hamilton_decomp_cycle_times_complete(5, 4)
+        blocks.ring_factorization(5, 4, 20)
     assert len(searches) == 1
 
 
@@ -427,7 +441,7 @@ def test_wrong_distance_rows_fail_the_partition_check(monkeypatch):
 
     monkeypatch.setattr(search, "distance_array", wrong_gcd)
     with pytest.raises(graphs.ConstructionBugError, match="cycle length mismatch"):
-        blocks.ck_factorization_cycle_times_complete(4, 5)
+        blocks.ring_factorization(4, 5, 4)
 
 
 def test_distance_array_columns_are_permutations():
@@ -465,8 +479,10 @@ def test_cache_entry_with_host_kind_still_loads(tmp_path, monkeypatch):
     first = blocks.near_cycle_factorization_doubled(4, 9)
     [entry] = tmp_path.glob("near_cycle_ku2-*.json")
     obj = json.loads(entry.read_text())
-    assert obj["host"] == {"num_parts": 9, "part_size": 1}
-    obj["host"]["kind"] = "complete_doubled"  # the host record of older versions
+    assert list(obj) == ["factors"]
+    # an entry of older versions: host (with its kind), cycle lengths, provenance
+    obj.update(host={"num_parts": 9, "part_size": 1, "kind": "complete_doubled"},
+               cycle_lengths=[4] * 9, provenance=["near_cycle_ku2"] * 9)
     entry.write_bytes(serialize.canonical_json_bytes(obj))
     second = blocks.near_cycle_factorization_doubled(4, 9)
     assert second.strategy == blocks.CACHED
@@ -479,13 +495,18 @@ def test_cache_entry_with_non_integer_values_is_rebuilt(tmp_path, monkeypatch):
     first = blocks.near_cycle_factorization_doubled(4, 9)
     [entry] = tmp_path.glob("near_cycle_ku2-*.json")
     good = entry.read_bytes()
-    obj = json.loads(good)
-    obj["cycle_lengths"][0] = float(obj["cycle_lengths"][0])
-    entry.write_text(json.dumps(obj))
-    second = blocks.near_cycle_factorization_doubled(4, 9)
-    assert second.strategy == blocks.SEARCH
-    assert second.decomposition.factors == first.decomposition.factors
-    assert entry.read_bytes() == good
+    for spoil in ("hole", "slot"):
+        obj = json.loads(good)
+        factor = obj["factors"][1]
+        if spoil == "hole":
+            factor["hole"] = float(factor["hole"])
+        else:
+            factor["cycles"][0][0][1] = float(factor["cycles"][0][0][1])
+        entry.write_text(json.dumps(obj))
+        second = blocks.near_cycle_factorization_doubled(4, 9)
+        assert second.strategy == blocks.SEARCH
+        assert second.decomposition.factors == first.decomposition.factors
+        assert entry.read_bytes() == good
 
 
 def test_unreadable_cache_entry_is_a_miss(tmp_path, monkeypatch):

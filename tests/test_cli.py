@@ -269,7 +269,8 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, monkeypatch, cell, family, cor
 
 @pytest.mark.parametrize("cell", [(2, 6, 31, 8), (2, 10, 31, 13), (2, 4, 29, 2),
                                   (3, 4, 29, 3), (2, 8, 12, 24), (2, 16, 33, 4),
-                                  (2, 4, 49, 2), (1, 4, 49, 3), (2, 6, 48, 6)],
+                                  (2, 4, 49, 2), (1, 4, 49, 3), (2, 6, 48, 6),
+                                  (2, 8, 4, 80)],
                          ids=lambda cell: "-".join(map(str, cell)))
 def test_formerly_stalled_cell_builds_cold_in_bounded_time(tmp_path, cell):
     # Searching the doubled complete blocks or the linking matchings of these

@@ -104,7 +104,7 @@ def test_cycle_times_s(k, t, s, count):
 
 def test_cycle_times_s_rejects_bad_modulus():
     with pytest.raises(graphs.ParameterError):
-        blocks.ck_factorization_cycle_times_complete(4, 9, 2)  # 2 does not divide 9
+        blocks.ring_factorization(4, 9, 8)  # 8/4 = 2 does not divide 9
     with pytest.raises(graphs.ParameterError):
         compose.cycle_times_blocked(4, 3, 3)  # odd block size
 

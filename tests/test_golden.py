@@ -11,9 +11,12 @@ and the remark, the bipartite distance pairs, the Hamilton halves and the
 tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
 blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
 even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
-y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2); a
-refactor that changes any output byte fails here.  The bytes must also be
-those of a plain sorted-key `json.dumps`, which the encoder only speeds up.
+y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2), and
+the fall back of `_abstract_cycle_route` from the blocked splitting to
+direct distance rows (2, 10, 16, 12), through the backtracked array
+(5, 12, 6); a refactor that changes any output byte fails here.  The bytes
+must also be those of a plain sorted-key `json.dumps`, which the encoder
+only speeds up.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ GOLDEN = {
     (2, 4, 17, 2): "352ea0e6b519ea893382edbcd991dd6be0e37ee2abffa76858f32a1aa5f26088",
     (2, 6, 3, 12): "3018ac7b28cf5bbc075ce6416ec4d8b3ab80f22c0a37cdc3c65f9ca426294925",
     (2, 10, 21, 2): "d1dd40699792ba02319498733a7fde05400e92091fa23ef9e697616aea0b9ef4",
+    (2, 10, 16, 12): "4e0728cb8d6b50fc11ef06c36a1b36c13ad215e0b998ea56c360377ebce0ea0a",
 }
 
 

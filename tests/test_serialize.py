@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from cycleframe import blocks, graphs, serialize
+from cycleframe import blocks, serialize
 from cycleframe.arcs import Params, build_arcs
 from cycleframe.graphs import Decomposition, PartialFactor
 
@@ -21,8 +21,7 @@ def test_searched_block_payload_and_its_cache_entry(tmp_path, monkeypatch):
     res = blocks.near_cycle_factorization_doubled(4, 9)
     assert res.strategy == blocks.SEARCH
     factors = res.decomposition.factors
-    obj = serialize.factors_payload(graphs.complete_graph(9, 2), factors,
-                                    ["near_cycle_ku2"] * len(factors))
+    obj = {"factors": [serialize.factor_to_obj(f) for f in factors]}
     assert serialize.canonical_json_bytes(obj) == dumps_bytes(obj)
     [entry] = tmp_path.glob("near_cycle_ku2-*.json")
     assert entry.read_bytes() == dumps_bytes(obj)
