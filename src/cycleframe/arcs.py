@@ -196,6 +196,10 @@ def check_feasibility(p: Params) -> Feasibility:
     if match is None:
         return Feasibility(UNSUPPORTED, "no implemented construction covers these parameters")
     case, sp = match
+    if case == "f" and k % 4 == 2 and k >= 14:
+        # distance pairs need k = 0 (mod 4) and the edge search exhausts its budget
+        return Feasibility(UNSUPPORTED, f"case f needs a C_{k}-factorization of "
+                                        f"K_{{{k},{k}}}, which has no implemented construction")
     return Feasibility(FEASIBLE, f"case {case}", case, sp)
 
 

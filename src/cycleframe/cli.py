@@ -13,7 +13,9 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import gc
 import io
 import json
 import sys
@@ -59,6 +61,27 @@ def _params(args) -> Params:
     return Params(args.lam, args.k, args.u, args.g)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run one operation with the cyclic garbage collector paused.
+
+    Decompositions are frozen dataclasses of tuples and JSON documents are
+    trees, so reference counting frees everything an operation drops; the
+    collector would only re-walk millions of live vertex lists and tuples.
+    The few small cycles an operation makes (the search's self-recursive
+    closures, argparse) are freed once it resumes.  A caller that had the
+    collector off finds it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def cmd_build(args) -> int:
     try:
         p = _params(args)
@@ -96,6 +119,7 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+@_collector_paused()
 def cmd_verify(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
@@ -139,17 +163,18 @@ def cmd_table(args) -> int:
     rows = []
     failures = 0
     for p in grid:
-        feas = check_feasibility(p)
-        count = ""
-        started = time.perf_counter()
-        if feas:
-            try:
-                dec = build_arcs(p)
-                count = len(dec.factors)
-            except (ConstructionBugError, ArcsUnavailable, UnsupportedBlockError) as exc:
-                failures += 1
-                count = f"FAILED: {exc}"
-        millis = round((time.perf_counter() - started) * 1000)
+        # per cell, so a long sweep never holds more than one cell's cycles
+        with _collector_paused():
+            feas = check_feasibility(p)
+            count = ""
+            started = time.perf_counter()
+            if feas:
+                try:
+                    count = len(build_arcs(p).factors)
+                except (ConstructionBugError, ArcsUnavailable, UnsupportedBlockError) as exc:
+                    failures += 1
+                    count = f"FAILED: {exc}"
+            millis = round((time.perf_counter() - started) * 1000)
         rows.append([p.lam, p.k, p.u, p.g, _VERDICT_LABEL[feas.verdict], count, millis])
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cycleframe
-from cycleframe import cli, serialize
+from cycleframe import arcs, cli, serialize
 from cycleframe.arcs import Params, build_arcs
 from cycleframe.verify import verify_arcs
 
@@ -285,3 +286,122 @@ def test_formerly_stalled_cell_builds_cold_in_bounded_time(tmp_path, cell):
     params, dec = serialize.decomposition_from_obj(json.loads(out.read_text()))
     assert params == Params(*cell)
     assert verify_arcs(dec, params)
+
+
+@pytest.mark.parametrize("cell", [(2, 14, 4, 28), (2, 18, 4, 36)],
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_case_f_with_k_2_mod_4_is_unsupported(tmp_path, capsys, cell):
+    # K_{k,k} has no implemented C_k-factorization for k = 2 (mod 4), k >= 14,
+    # and its edge search runs out of budget after minutes
+    lam, k, u, g = cell
+    flags = ["--lambda", str(lam), "--k", str(k), "--u", str(u), "--g", str(g)]
+    detail = f"case f needs a C_{k}-factorization of K_{{{k},{k}}}"
+    started = time.perf_counter()
+    assert run(["check"] + flags) == 4
+    assert capsys.readouterr().out.startswith(f"UnsupportedCase ({detail}")
+    assert run(["build"] + flags + ["-o", str(tmp_path / "x.json")]) == 4
+    assert capsys.readouterr().err.startswith(f"UnsupportedCase: {detail}")
+    assert time.perf_counter() - started < 1.0
+    assert not (tmp_path / "x.json").exists()
+
+
+# The collector pause: spies on the names cli imports record whether the
+# cyclic collector was on when they ran.
+
+class _GcSpy:
+    """Stands in for the gc module in cli and logs each switch."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def isenabled(self):
+        return gc.isenabled()
+
+    def disable(self):
+        self.log.append("off")
+        gc.disable()
+
+    def enable(self):
+        self.log.append("on")
+        gc.enable()
+
+
+def _recording(log, name, fn):
+    def spy(*args, **kwargs):
+        log.append((name, gc.isenabled()))
+        return fn(*args, **kwargs)
+    return spy
+
+
+_CELL = ["--lambda", "2", "--k", "4", "--u", "5", "--g", "2"]
+
+
+def test_build_and_verify_run_with_the_collector_paused(tmp_path, monkeypatch, capsys):
+    log = []
+    monkeypatch.setattr(cli, "build_arcs", _recording(log, "build_arcs", cli.build_arcs))
+    monkeypatch.setattr(arcs, "verify_arcs", _recording(log, "verify_arcs", arcs.verify_arcs))
+    monkeypatch.setattr(cli, "verify_arcs", _recording(log, "verify_arcs", cli.verify_arcs))
+    out = tmp_path / "out.json"
+    assert gc.isenabled()
+    assert run(["build"] + _CELL + ["-o", str(out)]) == 0
+    assert log == [("build_arcs", False), ("verify_arcs", False)] and gc.isenabled()
+    log.clear()
+    assert run(["verify", str(out)]) == 0
+    assert log == [("verify_arcs", False)] and gc.isenabled()
+
+
+def test_table_resumes_the_collector_between_cells(tmp_path, monkeypatch):
+    log = []
+    monkeypatch.setattr(cli, "gc", _GcSpy(log))
+    monkeypatch.setattr(cli, "check_feasibility",
+                        _recording(log, "cell", cli.check_feasibility))
+    out = tmp_path / "grid.csv"
+    assert run(["table", "--lambdas", "2", "--ks", "4", "--max-u", "5",
+                "--max-g", "3", "-o", str(out)]) == 0
+    cells = len(out.read_text().splitlines()) - 1
+    assert cells == 6 and log == ["off", ("cell", False), "on"] * cells
+    assert gc.isenabled()
+
+
+def _build(tmp_path):
+    return ["build"] + _CELL + ["-o", str(tmp_path / "x.json")]
+
+
+def _table(tmp_path):
+    return ["table", "--lambdas", "2", "--ks", "4", "--max-u", "5", "--max-g", "2",
+            "-o", str(tmp_path / "t.csv")]
+
+
+def _unreadable(tmp_path):
+    path = tmp_path / "mangled.json"
+    path.write_text("{ not json")
+    return ["verify", str(path)]
+
+
+def _failing_file(tmp_path):
+    return ["verify", _claim(tmp_path, 2, 4, 5, 2, [])]
+
+
+def _construction_bug(p, verify=True):
+    from cycleframe.graphs import ConstructionBugError
+    raise ConstructionBugError("injected fault", factor_index=0)
+
+
+@pytest.mark.parametrize("make_argv, sabotage, code", [
+    (_build, False, 0), (_unreadable, False, 1), (_build, True, 5), (_failing_file, False, 6),
+    (_table, False, 0), (_table, True, 5),
+], ids=["build", "verify-unreadable", "build-construction-bug", "verify-failed",
+        "table", "table-construction-bug"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+def test_collector_state_is_restored_on_every_exit(tmp_path, monkeypatch, capsys,
+                                                   make_argv, sabotage, code, enabled):
+    if sabotage:
+        monkeypatch.setattr(cli, "build_arcs", _construction_bug)
+    argv = make_argv(tmp_path)
+    if not enabled:
+        gc.disable()
+    try:
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
