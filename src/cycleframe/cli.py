@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import gc
 import io
 import json
@@ -69,8 +70,8 @@ def _collector_paused():
     trees, so reference counting frees everything an operation drops; the
     collector would only re-walk millions of live vertex lists and tuples.
     The few small cycles an operation makes (the search's self-recursive
-    closures, argparse) are freed once it resumes.  A caller that had the
-    collector off finds it off.
+    closures) are freed once it resumes.  A caller that had the collector
+    off finds it off.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -195,7 +196,9 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="cycleframe",
         description="Build and verify almost resolvable cycle systems of "
@@ -207,15 +210,12 @@ def main(argv=None) -> int:
     p_build.add_argument("-o", "--output", default="-", help="output path (default stdout)")
     p_build.add_argument("--no-verify", action="store_true",
                          help="skip the internal verification (benchmarking only)")
-    p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify a decomposition JSON file")
     p_verify.add_argument("path")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_check = sub.add_parser("check", help="print the feasibility verdict without building")
     _add_param_args(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_table = sub.add_parser("table", help="sweep a parameter grid into a CSV summary")
     p_table.add_argument("--lambdas", default="1,2", help="comma separated multiplicities")
@@ -223,10 +223,15 @@ def main(argv=None) -> int:
     p_table.add_argument("--max-u", type=int, default=13)
     p_table.add_argument("--max-g", type=int, default=8)
     p_table.add_argument("-o", "--output", default="-", help="CSV path (default stdout)")
-    p_table.set_defaults(func=cmd_table)
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # looked up per call, so a command rebound after the parser was built runs
+    commands = {"build": cmd_build, "verify": cmd_verify, "check": cmd_check,
+                "table": cmd_table}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

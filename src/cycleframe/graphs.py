@@ -123,8 +123,9 @@ def canonical_cycle(vertices) -> Cycle:
 class PartialFactor:
     """Vertex-disjoint cycles spanning everything except one hole part.
 
-    hole is None for intermediate full 2-factors.  Cycles are stored in
-    canonical form sorted, so equal factors compare equal.
+    hole is None for intermediate full 2-factors.  `build` stores the
+    cycles in canonical form sorted, so equal factors compare equal; a
+    decoded document keeps the rotation and order it was written in.
     """
 
     cycle_length: int

@@ -5,9 +5,11 @@ Schema:
      "factors": [{"hole": int|null, "cycles": [[[part, slot], ...], ...]}],
      "provenance": ["tag", ...]}
 
-Vertices are 2-element arrays, cycles are stored in canonical rotation and
-sorted within a factor, and the byte encoding is fixed (sorted keys, compact
-separators) so identical decompositions serialize identically.
+Vertices are 2-element arrays, the program writes cycles in canonical
+rotation and sorted within a factor, and the byte encoding is fixed (sorted
+keys, compact separators) so identical decompositions serialize identically.
+A document is decoded as written, so its cycles may come in any rotation
+and order; cache entries are canonicalised when read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .graphs import Decomposition, PartialFactor
+from .graphs import Cycle, Decomposition, ParameterError, PartialFactor
 
 
 def factor_to_obj(factor: PartialFactor) -> dict[str, Any]:
@@ -36,10 +38,28 @@ def _vertex(pair) -> tuple[int, int]:
     return (p, s)
 
 
-def factor_from_obj(obj: dict[str, Any], cycle_length: int) -> PartialFactor:
-    cycles = [tuple(map(_vertex, cyc)) for cyc in obj["cycles"]]
+def _decode_cycles(raw) -> tuple[Cycle, ...]:
+    """One factor's cycles as tuples of integer pairs, as written.
+
+    A pair that is not two integers goes through `_vertex`, which refuses it.
+    """
+    return tuple([tuple([(p, s) if type(p) is int and type(s) is int else _vertex([p, s])
+                         for p, s in cyc]) for cyc in raw])
+
+
+def _decode_factor(obj: dict[str, Any]) -> tuple[int | None, tuple[Cycle, ...]]:
+    """(hole, cycles) of one factor object, every cycle non-empty."""
+    cycles = _decode_cycles(obj["cycles"])
     hole = obj["hole"]
-    return PartialFactor.build(cycle_length, None if hole is None else _int(hole), cycles)
+    hole = None if hole is None else _int(hole)
+    if not all(cycles):
+        raise ParameterError("empty cycle")
+    return hole, cycles
+
+
+def factor_from_obj(obj: dict[str, Any], cycle_length: int) -> PartialFactor:
+    """A cached factor, canonicalised: blocks are threaded by cycle position."""
+    return PartialFactor.build(cycle_length, *_decode_factor(obj))
 
 
 def decomposition_to_obj(dec: Decomposition, params) -> dict[str, Any]:
@@ -56,7 +76,8 @@ def decomposition_from_obj(obj: dict[str, Any]):
 
     raw = obj["params"]
     params = Params(_int(raw["lambda"]), _int(raw["k"]), _int(raw["u"]), _int(raw["g"]))
-    factors = tuple(factor_from_obj(f, params.k) for f in obj["factors"])
+    # cycles keep the rotation and order written: verify_arcs depends on neither
+    factors = tuple(PartialFactor(params.k, *_decode_factor(f)) for f in obj["factors"])
     provenance = tuple(str(t) for t in obj.get("provenance", ()))
     return params, Decomposition(factors, provenance)
 

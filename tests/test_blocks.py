@@ -490,6 +490,20 @@ def test_cache_entry_with_host_kind_still_loads(tmp_path, monkeypatch):
     assert "kind" in json.loads(entry.read_text())["host"]
 
 
+def test_cache_entry_out_of_canonical_order_reads_back_canonical(tmp_path, monkeypatch):
+    # blocks are threaded by cycle position, so a read must not keep the entry's order
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    first = blocks.near_cycle_factorization_doubled(4, 9)
+    [entry] = tmp_path.glob("near_cycle_ku2-*.json")
+    obj = json.loads(entry.read_text())
+    for factor in obj["factors"]:
+        factor["cycles"] = [cyc[1:] + cyc[:1] for cyc in reversed(factor["cycles"])]
+    entry.write_bytes(serialize.canonical_json_bytes(obj))
+    second = blocks.near_cycle_factorization_doubled(4, 9)
+    assert second.strategy == blocks.CACHED
+    assert second.decomposition.factors == first.decomposition.factors
+
+
 def test_cache_entry_with_non_integer_values_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
     first = blocks.near_cycle_factorization_doubled(4, 9)

@@ -102,6 +102,62 @@ def test_verify_rejects_non_integer_values(tmp_path, capsys, edit):
     assert captured.err.startswith("error: cannot read decomposition") and "OK" not in captured.out
 
 
+@pytest.fixture(scope="module")
+def doc_2453():
+    p = Params(2, 4, 5, 3)
+    return serialize.canonical_json_bytes(serialize.decomposition_to_obj(build_arcs(p), p))
+
+
+def _at_vertex(i, value):
+    def edit(obj):
+        cycle = obj["factors"][7]["cycles"][2]
+        if i is None:
+            cycle[3] = value
+        else:
+            cycle[3][i] = value
+    return edit
+
+
+def _empty_cycle_later(obj):
+    obj["factors"][9]["cycles"].append([])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_at_vertex(0, True), "expected a vertex of two integers, got [True, 1]"),
+    (_at_vertex(1, None), "expected a vertex of two integers, got [3, None]"),
+    (_at_vertex(1, "1"), "expected a vertex of two integers, got [3, '1']"),
+    (_at_vertex(0, 1.0), "expected a vertex of two integers, got [1.0, 1]"),
+    (_at_vertex(None, [1, 1, 1]), "too many values to unpack (expected 2)"),
+    (_at_vertex(None, 1), "cannot unpack non-iterable int object"),
+    (_empty_cycle_later, "empty cycle"),
+], ids=["bool-part", "null-slot", "str-slot", "float-part", "three-coordinates",
+        "bare-int", "empty-cycle"])
+def test_verify_refuses_a_bad_vertex_deep_in_the_file(tmp_path, capsys, doc_2453, edit,
+                                                        message):
+    # factor 7, cycle 2, vertex 3 of the (2,4,5,3) file is (1, 1); factor 9 is the last
+    obj = json.loads(doc_2453)
+    edit(obj)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read decomposition: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_accepts_cycles_in_any_rotation_and_order(tmp_path, capsys, doc_2453):
+    obj = json.loads(doc_2453)
+    for factor in obj["factors"]:
+        factor["cycles"] = [cyc[1:] + cyc[:1] for cyc in reversed(factor["cycles"])]
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 0
+    obj["factors"][0]["hole"] = (obj["factors"][0]["hole"] + 1) % 5
+    path.write_text(json.dumps(obj))
+    assert run(["verify", str(path)]) == 6
+    assert "per-hole count mismatch" in capsys.readouterr().err
+
+
 def _claim(tmp_path, lam, k, u, g, factors):
     path = tmp_path / "claim.json"
     path.write_text(json.dumps({"params": {"lambda": lam, "k": k, "u": u, "g": g},
@@ -334,6 +390,18 @@ def _recording(log, name, fn):
 
 
 _CELL = ["--lambda", "2", "--k", "4", "--u", "5", "--g", "2"]
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_a_command_rebound_after_the_first_call_is_the_one_run(monkeypatch, capsys):
+    argv = ["check"] + _CELL
+    assert run(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: calls.append(args.u) or 7)
+    assert run(argv) == 7 and calls == [5]
 
 
 def test_build_and_verify_run_with_the_collector_paused(tmp_path, monkeypatch, capsys):
