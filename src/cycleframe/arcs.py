@@ -9,6 +9,7 @@ decomposition which is re-verified before being returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import blocks, compose
@@ -40,7 +41,8 @@ class Params:
 
 @dataclass(frozen=True)
 class PrimeSplit:
-    """k = r*s with r, s >= 2."""
+    """k = r*s: a proper split (r, s >= 2), or (k, 1) for case c's
+    blow-up through C_k x K_g."""
 
     r: int
     s: int
@@ -83,8 +85,11 @@ def _omega(n: int) -> int:
 
 
 def _splits(k: int) -> list[PrimeSplit]:
-    """Proper two-sided prime splits of k, ordered by ascending r."""
-    return [PrimeSplit(r, k // r) for r in range(2, k) if k % r == 0]
+    """Proper splits k = r*s (r, s >= 2), ordered by ascending r; divisors
+    are only tried up to sqrt(k), so this takes O(sqrt(k)) steps."""
+    small = [r for r in range(2, math.isqrt(k) + 1) if k % r == 0]
+    large = [k // r for r in reversed(small) if r * r != k]
+    return [PrimeSplit(r, k // r) for r in small + large]
 
 
 def expected_counts(p: Params) -> tuple[int, int, int]:
@@ -152,23 +157,24 @@ def _match_lambda2(k: int, u: int, g: int) -> tuple[str, PrimeSplit | None] | No
             return ("e", None)
         if y % 2 == 0 and y >= 2 and k > 6:
             return ("f", None)
-    for sp in _splits(k):
+    splits = _splits(k)
+    for sp in splits:
         r, s = sp.r, sp.s
         if (r % 2 == 0 and s >= 3 and s % 2 == 1
                 and u % r == 1 and u > r and g % (2 * s) == 0):
             return ("g", sp)
-    for sp in _splits(k):
+    for sp in splits:
         r, s = sp.r, sp.s
         if (r % 2 == 1 and r >= 3 and s % 2 == 0 and u % r == 1 and u > r
                 and g % s == 0 and g % 4 != 2):
             return ("h", sp)
-    for sp in _splits(k):
+    for sp in splits:
         r, s = sp.r, sp.s
-        if (r % 2 == 0 and s % 2 == 0 and _omega(r) >= 2 and _omega(s) >= 2
-                and u % r == 1 and u > r and g % s == 0):
+        if (r % 2 == 0 and s % 2 == 0 and u % r == 1 and u > r and g % s == 0
+                and _omega(r) >= 2 and _omega(s) >= 2):
             return ("i", sp)
     if k % 4 == 2:
-        for sp in _splits(k):
+        for sp in splits:
             r, s = sp.r, sp.s
             if (r % 2 == 0 and s >= 3 and s % 2 == 1 and u % r == 1 and u > r
                     and g % (2 * s) == s):
@@ -234,18 +240,6 @@ def _twisted_near_one_factors(u: int, slot_factors, k: int) -> list[PartialFacto
 # lambda = 2 builders
 
 
-def build_case_u1modk_l2(p: Params) -> list[PartialFactor]:
-    """u = 1 (mod k): blow each doubled near-cycle-factor through the g-1
-    jump factors of C_k x K_g."""
-    lam, k, u, g = p.lam, p.k, p.u, p.g
-    if u % k != 1 or u <= k:
-        raise ParameterError(f"case c needs u = 1 (mod k), got u={u}")
-    near = blocks.near_cycle_factorization_doubled(k, u).decomposition
-    abstract = blocks.ring_factorization(k, g, k).decomposition.factors
-    # near-factor vertices are (part, 0), so the blow-up only places parts
-    return [blow_up(nf.cycles, f, g, k, nf.hole) for nf in near.factors for f in abstract]
-
-
 def build_case_uodd_g0modk_l2(p: Params) -> list[PartialFactor]:
     """Odd u, k | g: near 1-factors of K_u crossed with the C_k-factors of
     K_g(2), each matching edge carrying the K_2 twist of every slot cycle."""
@@ -304,7 +298,7 @@ def _abstract_cycle_route(r: int, g: int, s: int) -> list[PartialFactor]:
 
 def build_case_primesplit_l2(p: Params, split: PrimeSplit) -> list[PartialFactor]:
     """k = r*s with u = 1 (mod r): doubled near-C_r-factors of K_u threaded
-    through a C_{rs}-factorization of C_r x K_g."""
+    through a C_{rs}-factorization of C_r x K_g; case c is the split (k, 1)."""
     lam, k, u, g = p.lam, p.k, p.u, p.g
     r, s = split.r, split.s
     if r * s != k or u % r != 1 or u <= r or g % s != 0:
@@ -347,10 +341,6 @@ def _hub_and_groups(r: int, t: int, u: int, cycle_length: int,
                                  abstract(r, t).factors)
 
 
-def _cycle_times_complete(r: int, t: int) -> Decomposition:
-    return blocks.ring_factorization(r, t, r).decomposition
-
-
 def build_case_l1(p: Params) -> list[PartialFactor]:
     """lambda = 1, u = kx+1, odd g: the alternating threading of
     K_{k+1} x K_g, spread over the x part groups when x > 2."""
@@ -358,7 +348,7 @@ def build_case_l1(p: Params) -> list[PartialFactor]:
     if k % 4 != 0 or u % k != 1 or u <= k or g % 2 != 1:
         raise ParameterError(f"case a needs k = 0 (mod 4), u = 1 (mod k), odd g, got {(k, u, g)}")
     return _hub_and_groups(k, g, u, k, compose.partial_ck_factorization_kplus1_times_t,
-                           _cycle_times_complete)
+                           lambda r, t: blocks.ring_factorization(r, t, r).decomposition)
 
 
 def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor]:
@@ -376,8 +366,7 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
     copies = [[(pp, b) for pp in range(u)] for b in range(q)]
     factors = [blow_up(copies, bf, s, k, bf.hole) for bf in sorted(block, key=lambda f: f.hole)]
     if q >= 3:
-        outer = _hub_and_groups(r, q, u, r, compose.partial_ck_factorization_kplus1_times_t,
-                                _cycle_times_complete)
+        outer = build_case_l1(Params(1, r, u, q))
         lex = blocks.ring_factorization(r, s, k, lex=True).decomposition.factors
         factors.extend(blow_up(of.cycles, lf, s, k, of.hole) for of in outer for lf in lex)
     return factors
@@ -388,28 +377,16 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
 
 
 _BUILDERS_L2 = {
-    "c": lambda p, sp: build_case_u1modk_l2(p),
+    "c": lambda p, sp: build_case_primesplit_l2(p, PrimeSplit(p.k, 1)),
     "d": lambda p, sp: build_case_uodd_g0modk_l2(p),
     "e": lambda p, sp: build_case_u4x(p),
     "f": lambda p, sp: build_case_u4x(p),
     "g": build_case_primesplit_l2,
     "h": build_case_primesplit_l2,
     "i": build_case_primesplit_l2,
+    "remark": lambda p, sp: (build_case_remark_zigzag if sp.r == 2
+                             else build_case_primesplit_l2)(p, sp),
 }
-
-
-def _build_lambda2(p: Params, case: str, split: PrimeSplit | None) -> list[PartialFactor]:
-    if case == "remark":
-        if split.r == 2:
-            return build_case_remark_zigzag(p, split)
-        return build_case_primesplit_l2(p, split)
-    return _BUILDERS_L2[case](p, split)
-
-
-def _build_lambda1(p: Params, case: str, split: PrimeSplit | None) -> list[PartialFactor]:
-    if case == "a":
-        return build_case_l1(p)
-    return build_case_primesplit_l1(p, split)
 
 
 def build_arcs(p: Params, verify: bool = True) -> Decomposition:
@@ -427,12 +404,13 @@ def build_arcs(p: Params, verify: bool = True) -> Decomposition:
     batches: list[tuple[str, list[PartialFactor]]] = []
     if singles:
         case1, split1 = _match_lambda1(k, u, g)
-        base1 = _build_lambda1(Params(1, k, u, g), case1, split1)
+        p1 = Params(1, k, u, g)
+        base1 = build_case_l1(p1) if case1 == "a" else build_case_primesplit_l1(p1, split1)
         tags = ["single"] if singles == 1 else [f"single copy {i}" for i in range(singles)]
         batches.extend((f"{case1}[{tag}]", base1) for tag in tags)
     if doubles:
         case2, split2 = match2
-        base2 = _build_lambda2(Params(2, k, u, g), case2, split2)
+        base2 = _BUILDERS_L2[case2](Params(2, k, u, g), split2)
         batches.extend((f"{case2}[copy {i}]", base2) for i in range(doubles))
     factors: list[PartialFactor] = []
     provenance: list[str] = []

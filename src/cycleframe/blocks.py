@@ -290,16 +290,9 @@ def kplus1_near_factor_cycles(k: int):
     """
     if k < 4 or k % 2 != 0:
         raise ParameterError(f"near C_k-factors of K_(k+1)(2) need even k >= 4, got {k}")
-    entries = []
-    for i in range(k):
-        cyc = [i]
-        for j in range(1, k // 2):
-            cyc.append((i + j) % k)
-            cyc.append((i - j) % k)
-        cyc.append(k)
-        entries.append((((i + k // 2) % k), tuple(cyc)))
-    entries.append((k, tuple(range(k))))
-    return entries
+    *path, far = _walecki_zigzag(k)
+    return ([((i + far) % k, tuple((i + v) % k for v in path) + (k,)) for i in range(k)]
+            + [(k, tuple(range(k)))])
 
 
 _MIRROR_AFTER = 10_000  # search nodes before an even x = 2 near block is mirrored

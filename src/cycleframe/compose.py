@@ -128,19 +128,6 @@ def partial_ckt_factorization_kplus1_times_t(k: int, t: int) -> Decomposition:
 # C_k-factorization of K_3 x K_{ky}
 
 
-def triangle_factorization_k3_times_ky(y: int) -> list[PartialFactor]:
-    """Triangle factors of K_3 x K_y for odd y: jumps (j, j, -2j)."""
-    if y < 3 or y % 2 == 0:
-        raise ParameterError(f"triangle factorization needs odd y >= 3, got {y}")
-    factors = []
-    for j in range(1, y):
-        cycles = assemble_from_distances((0, 1, 2), (j, j, -2 * j), y)
-        if any(len(c) != 3 for c in cycles):
-            raise ConstructionBugError("triangle row produced wrong cycle length")
-        factors.append(PartialFactor.build(3, None, cycles))
-    return factors
-
-
 def _k3_times_kk_base(k: int) -> list[PartialFactor]:
     """C_k-factors of K_3 x K_k via the Walecki split of the slot side.
 
@@ -164,9 +151,9 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
 
     y = 1 comes straight from the Walecki split.  Larger y splits the slots
     into y blocks: the y aligned copies of K_3 x K_k fill the holes, and the
-    cross-block edges form the blow-up of K_3 x K_y, factored through
-    triangles (odd y) or through Hamilton-cycle matchings and complete
-    bipartite blocks (even y, k > 6).
+    cross-block edges form the blow-up of K_3 x K_y, factored through its
+    triangle ring rows (odd y) or through Hamilton-cycle matchings and
+    complete bipartite blocks (even y, k > 6).
     """
     if k < 6 or k % 2 != 0 or y < 1:
         raise ParameterError(f"K_3 x K_(ky) factorization needs even k >= 6, y >= 1, got ({k}, {y})")
@@ -179,7 +166,7 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
     factors = []
     if y % 2 == 1:
         ttt = blocks.ct_factorization_tripartite(k).decomposition.factors
-        for tri_factor in triangle_factorization_k3_times_ky(y):
+        for tri_factor in blocks.ring_factorization(3, y, 3).decomposition.factors:
             factors.extend(blow_up(tri_factor.cycles, level, k, k) for level in ttt)
     else:
         bip = blocks.ck_factorization_bipartite(k, k, k).decomposition.factors

@@ -4,7 +4,9 @@ Three engines:
 
 * distance arrays: rows of slot jumps threaded around a cycle of parts,
   one row per factor, every column a permutation of the allowed jumps and
-  every row sum constrained by the gcd that fixes the resulting cycle length;
+  every row sum constrained by the gcd that fixes the resulting cycle length
+  (closed forms come first: alternating rows for an even number of
+  positions, and for an odd number p the rows (r, ..., r, -(p-1)r));
 * rotational bases: a starter near factor over Z_n whose translates tile
   the doubled complete graph K_n(2), each translate missing one vertex;
 * edge-level factor cover: partition a host's listed edges into
@@ -80,12 +82,23 @@ def _row_sums_reachable(positions, modulus, target_gcd, values) -> bool:
 
 
 def _closed_form_rows(positions, modulus, target_gcd, include_zero):
-    """Alternating rows with a reflected last column; valid when the
-    quotient modulus/target is odd (this covers the plain alternating
-    C_k-factor case target == modulus)."""
-    if include_zero or positions < 2 or positions % 2 != 0:
+    """Closed-form rows, or None.
+
+    Even positions: alternating rows with a reflected last column, valid
+    when the quotient modulus/target is odd (this covers the plain
+    alternating C_k-factor case target == modulus).  Odd positions p with
+    target == modulus: rows (r, ..., r, -(p-1)r), whose last column is a
+    permutation when p-1 is a unit mod the modulus; they are the first
+    array `_array_backtrack` would find.
+    """
+    if include_zero or positions < 2:
         return None
     w = target_gcd
+    if positions % 2 == 1:
+        if w != modulus or math.gcd(positions - 1, modulus) != 1:
+            return None
+        return [(r,) * (positions - 1) + (-(positions - 1) * r % modulus,)
+                for r in range(1, modulus)]
     if modulus % w != 0 or (modulus // w) % 2 == 0:
         return None
     rows = []

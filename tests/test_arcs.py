@@ -5,9 +5,9 @@ from collections import Counter
 import pytest
 
 from cycleframe import graphs
-from cycleframe.arcs import (ArcsUnavailable, Params, _match_lambda1, _splits,
-                             build_arcs, build_case_l1, build_case_primesplit_l1,
-                             build_case_primesplit_l2, build_case_u1modk_l2,
+from cycleframe.arcs import (_BUILDERS_L2, ArcsUnavailable, Params, PrimeSplit,
+                             _match_lambda1, _splits, build_arcs, build_case_l1,
+                             build_case_primesplit_l1, build_case_primesplit_l2,
                              build_case_u4x, build_case_uodd_g0modk_l2,
                              check_feasibility, expected_counts)
 from cycleframe.verify import verify_arcs
@@ -103,6 +103,17 @@ def test_prime_splits():
     assert [(sp.r, sp.s) for sp in sps] == [(2, 6), (3, 4), (4, 3), (6, 2)]
 
 
+def test_splits_match_the_full_divisor_scan():
+    for k in range(1, 3000):
+        assert _splits(k) == [PrimeSplit(r, k // r) for r in range(2, k) if k % r == 0]
+
+
+def test_huge_cycle_length_is_answered_at_once():
+    # the splits of k come from its divisors up to sqrt(k), so this answers at once
+    f = feasib(2, 2 * 10**12, 3, 10**12)
+    assert f.verdict == "unsupported"
+
+
 # ---------------------------------------------------------------------------
 # Builders against the independent verifier
 
@@ -116,7 +127,8 @@ def assert_valid(p, factors):
 @pytest.mark.parametrize("tup", [(2, 4, 5, 2), (2, 4, 5, 3), (2, 6, 7, 2), (2, 4, 9, 2)])
 def test_build_case_u1modk(tup):
     p = Params(*tup)
-    factors = build_case_u1modk_l2(p)
+    assert feasib(*tup).case == "c" and feasib(*tup).split is None
+    factors = _BUILDERS_L2["c"](p, None)
     assert len(factors) == p.u * (p.g - 1)
     assert_valid(p, factors)
 

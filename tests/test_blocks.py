@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -454,6 +455,17 @@ def test_distance_array_columns_are_permutations():
         assert sorted(r[col] for r in rows) == [1, 2, 3]
     for r in rows:
         assert sum(r) % 4 in (2,)  # gcd(s, 4) = 2 forces s = 2 (mod 4)
+
+
+def test_odd_closed_form_rows_are_the_first_backtracked_array():
+    for p in (3, 5, 7, 9):
+        for n in range(3, 32, 2):
+            if math.gcd(p - 1, n) == 1:
+                assert (search._closed_form_rows(p, n, n, False)
+                        == search._array_backtrack(p, n, n, list(range(1, n)),
+                                                   search._Budget(10**6)))
+    assert search._closed_form_rows(3, 4, 4, False) is None
+    assert search._closed_form_rows(7, 9, 9, False) is None
 
 
 def test_distance_array_residue_obstruction_fails_fast():

@@ -62,7 +62,9 @@ def test_partial_ckt_kplus1_times_t(k, t):
 
 
 def test_triangle_factorization():
-    factors = compose.triangle_factorization_k3_times_ky(5)
+    res = blocks.ring_factorization(3, 5, 3)
+    assert res.strategy == blocks.EXPLICIT
+    factors = res.decomposition.factors
     assert len(factors) == 4
     for f in factors:
         assert f.cycle_length == 3 and len(f.cycles) == 5

@@ -14,7 +14,9 @@ even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
 y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2), and
 the fall back of `_abstract_cycle_route` from the blocked splitting to
 direct distance rows (2, 10, 16, 12), through the backtracked array
-(5, 12, 6); a refactor that changes any output byte fails here.  The bytes
+(5, 12, 6), the closed-form odd ring rows of the (3, 5, 5) request of case
+h (2, 12, 4, 20), and the remark route through the split (6, 3)
+(2, 18, 7, 3); a refactor that changes any output byte fails here.  The bytes
 must also be those of a plain sorted-key `json.dumps`, which the encoder
 only speeds up.
 """
@@ -55,6 +57,8 @@ GOLDEN = {
     (2, 6, 3, 12): "3018ac7b28cf5bbc075ce6416ec4d8b3ab80f22c0a37cdc3c65f9ca426294925",
     (2, 10, 21, 2): "d1dd40699792ba02319498733a7fde05400e92091fa23ef9e697616aea0b9ef4",
     (2, 10, 16, 12): "4e0728cb8d6b50fc11ef06c36a1b36c13ad215e0b998ea56c360377ebce0ea0a",
+    (2, 12, 4, 20): "fee08d9a54b3bc006b16c84d664788877e20f0ebf10bce81cb0d3e5f7060b91d",
+    (2, 18, 7, 3): "33198c4ef40e44d805136b7bbda995d65314e2e8addb869d46815913edfda39e",
 }
 
 
