@@ -50,10 +50,16 @@ class PrimeSplit:
 
 @dataclass(frozen=True)
 class Feasibility:
+    """The verdict and, when feasible, the matched routes: `case` and
+    `split` are the route named in `detail`, which builds the single copies
+    unless lambda is even with a doubled route; `doubled` is the lambda = 2
+    match of the doubled copies (None for lambda = 1 or when there is none)."""
+
     verdict: str
     detail: str = ""
     case: str | None = None
     split: PrimeSplit | None = None
+    doubled: tuple[str, PrimeSplit | None] | None = None
 
     def __bool__(self) -> bool:
         return self.verdict == FEASIBLE
@@ -198,7 +204,8 @@ def check_feasibility(p: Params) -> Feasibility:
         return Feasibility(OPEN_EXCEPTION, family)
     # lambda = a*1 + b*2: an odd lambda needs a single copy, an even one
     # prefers doubled copies and falls back to single ones
-    match = (lam % 2 == 0 and _match_lambda2(k, u, g)) or _match_lambda1(k, u, g)
+    doubled = _match_lambda2(k, u, g) if lam > 1 else None
+    match = (lam % 2 == 0 and doubled) or _match_lambda1(k, u, g)
     if match is None:
         return Feasibility(UNSUPPORTED, "no implemented construction covers these parameters")
     case, sp = match
@@ -206,7 +213,7 @@ def check_feasibility(p: Params) -> Feasibility:
         # distance pairs need k = 0 (mod 4) and the edge search exhausts its budget
         return Feasibility(UNSUPPORTED, f"case f needs a C_{k}-factorization of "
                                         f"K_{{{k},{k}}}, which has no implemented construction")
-    return Feasibility(FEASIBLE, f"case {case}", case, sp)
+    return Feasibility(FEASIBLE, f"case {case}", case, sp, doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +331,19 @@ def build_case_remark_zigzag(p: Params, split: PrimeSplit) -> list[PartialFactor
 # lambda = 1 builders
 
 
-def _hub_and_groups(r: int, t: int, u: int, cycle_length: int,
-                    inner, abstract) -> list[PartialFactor]:
+def _hub_and_groups(r: int, t: int, u: int, cycle_length: int, inner) -> list[PartialFactor]:
     """Partial C_L-factorization of K_u x K_t for u = rx+1 (x = 1 or x > 2).
 
-    `inner(r, t)`, a partial factorization of K_{r+1} x K_t, is the answer
-    for x = 1; larger x spreads it by `blocks.hub_and_groups`, linked by the
-    C_r-factors of K_{r/2,r/2} and `abstract(r, t)` on C_r x K_t.
+    `inner`, the factors of a partial factorization of K_{r+1} x K_t, is the
+    answer for x = 1; larger x spreads it by `blocks.hub_and_groups`, linked
+    by the C_r-factors of K_{r/2,r/2} and the C_L-factors of C_r x K_t.
     """
-    inner_factors = inner(r, t).factors
     if u == r + 1:
-        return list(inner_factors)
+        return list(inner)
     half = r // 2
     bip = blocks.ck_factorization_bipartite(half, half, r).decomposition.factors
-    return blocks.hub_and_groups(r, t, u, cycle_length, inner_factors, bip,
-                                 abstract(r, t).factors)
+    ring = blocks.ring_factorization(r, t, cycle_length).decomposition.factors
+    return blocks.hub_and_groups(r, t, u, cycle_length, inner, bip, ring)
 
 
 def build_case_l1(p: Params) -> list[PartialFactor]:
@@ -347,8 +352,7 @@ def build_case_l1(p: Params) -> list[PartialFactor]:
     lam, k, u, g = p.lam, p.k, p.u, p.g
     if k % 4 != 0 or u % k != 1 or u <= k or g % 2 != 1:
         raise ParameterError(f"case a needs k = 0 (mod 4), u = 1 (mod k), odd g, got {(k, u, g)}")
-    return _hub_and_groups(k, g, u, k, compose.partial_ck_factorization_kplus1_times_t,
-                           lambda r, t: blocks.ring_factorization(r, t, r).decomposition)
+    return _hub_and_groups(k, g, u, k, compose.partial_ck_factorization_kplus1_times_t(k, g).factors)
 
 
 def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor]:
@@ -361,8 +365,7 @@ def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor
     lam, k, u, g = p.lam, p.k, p.u, p.g
     r, s = split.r, split.s
     q = g // s
-    block = _hub_and_groups(r, s, u, k, compose.partial_ckt_factorization_kplus1_times_t,
-                            compose.ckt_factorization_cycle_times_t)
+    block = _hub_and_groups(r, s, u, k, compose.partial_ckt_factorization_kplus1_times_t(r, s).factors)
     copies = [[(pp, b) for pp in range(u)] for b in range(q)]
     factors = [blow_up(copies, bf, s, k, bf.hole) for bf in sorted(block, key=lambda f: f.hole)]
     if q >= 3:
@@ -398,18 +401,16 @@ def build_arcs(p: Params, verify: bool = True) -> Decomposition:
     if not feas:
         raise ArcsUnavailable(feas)
     lam, k, u, g = p.lam, p.k, p.u, p.g
-    match2 = _match_lambda2(k, u, g) if lam > 1 else None
-    doubles = lam // 2 if match2 else 0
+    doubles = lam // 2 if feas.doubled else 0
     singles = lam - 2 * doubles
     batches: list[tuple[str, list[PartialFactor]]] = []
     if singles:
-        case1, split1 = _match_lambda1(k, u, g)
         p1 = Params(1, k, u, g)
-        base1 = build_case_l1(p1) if case1 == "a" else build_case_primesplit_l1(p1, split1)
+        base1 = build_case_l1(p1) if feas.case == "a" else build_case_primesplit_l1(p1, feas.split)
         tags = ["single"] if singles == 1 else [f"single copy {i}" for i in range(singles)]
-        batches.extend((f"{case1}[{tag}]", base1) for tag in tags)
+        batches.extend((f"{feas.case}[{tag}]", base1) for tag in tags)
     if doubles:
-        case2, split2 = match2
+        case2, split2 = feas.doubled
         base2 = _BUILDERS_L2[case2](Params(2, k, u, g), split2)
         batches.extend((f"{case2}[copy {i}]", base2) for i in range(doubles))
     factors: list[PartialFactor] = []

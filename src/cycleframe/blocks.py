@@ -5,12 +5,10 @@ explicit host graph.  Where a closed form is classical (rotational near
 1-factorizations and the even-x frame of partial ones, Walecki cycles,
 distance threading, the hub-and-groups spread of K_{r+1} blocks, mirrored
 rotational bases, the perfect 1-factorization of the Walecki remainder) it
-is built directly;
-this covers the doubled complete blocks of even cycle length, though the
-near ones with u = 2L+1 first try a short search so that the bases it finds
-keep their bytes.
-Where only existence is cited, a deterministic bounded backtracking search
-fills the gap and the result is cached on disk keyed by the request.
+is built directly; this covers the doubled complete blocks of even cycle
+length.  Where only existence is cited, a deterministic bounded
+backtracking search fills the gap and the result is cached on disk keyed
+by the request.
 """
 
 from __future__ import annotations
@@ -295,9 +293,6 @@ def kplus1_near_factor_cycles(k: int):
             + [(k, tuple(range(k)))])
 
 
-_MIRROR_AFTER = 10_000  # search nodes before an even x = 2 near block is mirrored
-
-
 def _translates(base, n: int) -> list[list[tuple]]:
     """The n translates of a rotational base over Z_n, translate j missing j."""
     return [[tuple(((v + j) % n, 0) for v in cyc) for cyc in base] for j in range(n)]
@@ -326,9 +321,8 @@ def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
     Even L: u = L+1 is the zigzag; u = Lx+1 with x > 2 spreads the zigzag
     over x groups by `hub_and_groups`, each group link a Hamilton cycle of
     K_{L/2,L/2}(2).  Otherwise the factors are the translates of a
-    rotational base over Z_u.  Odd L searches for one; for x = 2 a search
-    of _MIRROR_AFTER nodes keeps the bases it finds, so the blocks it built
-    before are unchanged, and past it `_mirrored_base` gives one outright.
+    rotational base over Z_u: `_mirrored_base` for even L (x = 2), a
+    searched one for odd L.
     """
     if cycle_len < 3:
         raise ParameterError(f"cycle length must be >= 3, got {cycle_len}")
@@ -349,12 +343,8 @@ def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
                        "near_cycle_hub_and_groups")
 
     def rotational():
-        if cycle_len % 2 == 1:
-            return _translates(search.rotational_base(u, cycle_len), u)
-        try:
-            base = search.rotational_base(u, cycle_len, budget=_MIRROR_AFTER)
-        except search.UnsupportedBlockError:
-            base = _mirrored_base(cycle_len)
+        base = (_mirrored_base(cycle_len) if cycle_len % 2 == 0
+                else search.rotational_base(u, cycle_len))
         return _translates(base, u)
 
     return _searched("near_cycle_ku2", (cycle_len, u), host, cycle_len, range(u),

@@ -2,7 +2,7 @@
 
 These build the mid-level factorizations the case builders stack: partial
 cycle factorizations of K_{k+1} x K_t by distance threading over the zigzag
-near-factors, Hamilton splittings of C_k x K_t for odd part size, cycle
+near-factors, their Hamilton halves for odd part size, cycle
 factorizations of K_3 x K_{ky}, and the blocked splittings of C_k x K_s.
 
 Every product construction here works by explicit index arithmetic on
@@ -62,7 +62,7 @@ def partial_ck_factorization_kplus1_times_t(k: int, t: int) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# Hamilton splitting of C_k x K_t for odd t, and its halves
+# Hamilton halves of K_{k+1} x K_t for odd t
 
 
 def _cycle_times_t_half(part_cycle, slot_ham, use_reversed: bool):
@@ -82,24 +82,6 @@ def _cycle_times_t_half(part_cycle, slot_ham, use_reversed: bool):
     if len(cycles) != 1 or len(cycles[0]) != k * t:
         raise ConstructionBugError("half factor is not a single Hamilton cycle")
     return cycles
-
-
-def ckt_factorization_cycle_times_t(k: int, t: int) -> Decomposition:
-    """C_{kt}-factorization of C_k x K_t (k even >= 4, t odd >= 3).
-
-    K_t splits into (t-1)/2 Hamilton cycles; each contributes the two
-    mirror-image step patterns, for t-1 Hamilton factors in all.
-    """
-    if k < 4 or k % 2 != 0 or t < 3 or t % 2 == 0:
-        raise ParameterError(f"needs even k >= 4 and odd t >= 3, got ({k}, {t})")
-    host = blocks.cycle_times_complete_host(k, t)
-    part_cycle = tuple(range(k))
-    factors = []
-    for ham in blocks.hamilton_decomposition_complete_odd(t):
-        for use_reversed in (False, True):
-            cycles = _cycle_times_t_half(part_cycle, ham, use_reversed)
-            factors.append(PartialFactor.build(k * t, None, cycles))
-    return _finish(host, factors, "cycle_times_odd_hamilton")
 
 
 def partial_ckt_factorization_kplus1_times_t(k: int, t: int) -> Decomposition:

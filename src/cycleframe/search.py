@@ -45,8 +45,7 @@ def _target_ok(total: int, modulus: int, target_gcd: int) -> bool:
 
 
 def distance_array(positions: int, modulus: int, target_gcd: int,
-                   include_zero: bool = False,
-                   budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+                   include_zero: bool = False) -> list[tuple[int, ...]]:
     """Rows of length `positions` over Z_modulus, one per allowed value.
 
     Columns form permutations of the allowed values ({1..m-1}, or all of Z_m
@@ -64,7 +63,7 @@ def distance_array(positions: int, modulus: int, target_gcd: int,
         raise UnsupportedBlockError(
             f"no distance array for positions={positions}, modulus={modulus}, "
             f"target={target_gcd} (residue obstruction)")
-    return _array_backtrack(positions, modulus, target_gcd, values, _Budget(budget))
+    return _array_backtrack(positions, modulus, target_gcd, values, _Budget(DEFAULT_BUDGET))
 
 
 def _row_sums_reachable(positions, modulus, target_gcd, values) -> bool:
@@ -164,15 +163,14 @@ def _difference_class(a: int, b: int, n: int) -> int:
     return min(d, n - d)
 
 
-def rotational_base(n: int, cycle_len: int,
-                    budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+def rotational_base(n: int, cycle_len: int) -> list[tuple[int, ...]]:
     """Starter cycles whose Z_n translates tile K_n(2) less one vertex each.
 
     The cycles partition {1..n-1} and use every difference class twice (the
     half class once when n is even); translating by all of Z_n yields a
     near-cycle-factorization of K_n(2), translate j missing j.
     """
-    b = _Budget(budget)
+    b = _Budget(DEFAULT_BUDGET)
     half = None if n % 2 == 1 else n // 2
     quota = Counter({c: 2 for c in range(1, (n + 1) // 2 if half is None else half)})
     if half is not None:

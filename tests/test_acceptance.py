@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from cycleframe import blocks, compose
+from cycleframe import blocks
 from cycleframe.arcs import Params, build_arcs, check_feasibility, expected_counts
 from cycleframe.cli import main as cli_main
 from cycleframe.graphs import Decomposition, PartialFactor
@@ -165,7 +165,9 @@ def test_criterion_7_block_unit_properties():
             union.update(tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(k))
         assert union == Counter({e: 1 for e in itertools.combinations(range(k), 2)})
     for k, t in [(4, 3), (6, 3), (4, 5)]:
-        dec = compose.ckt_factorization_cycle_times_t(k, t)
+        res = blocks.ring_factorization(k, t, k * t)
+        assert res.strategy == blocks.EXPLICIT
+        dec = res.decomposition
         assert len(dec.factors) == t - 1
         assert all(len(f.cycles) == 1 and f.cycle_length == k * t for f in dec.factors)
     _report(7, "near 1-factors, doubled zigzags, walecki splits and Hamilton "

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cycleframe import graphs
+from cycleframe import arcs, graphs
 from cycleframe.arcs import (_BUILDERS_L2, ArcsUnavailable, Params, PrimeSplit,
                              _match_lambda1, _splits, build_arcs, build_case_l1,
                              build_case_primesplit_l1, build_case_primesplit_l2,
@@ -224,6 +224,26 @@ def test_lambda_scaling_odd():
     single = build_arcs(Params(1, 4, 5, 3))
     doubled = build_arcs(Params(2, 4, 5, 3))
     assert dec.factors == single.factors + doubled.factors
+
+
+@pytest.mark.parametrize("tup,case,doubled", [
+    ((2, 12, 5, 6), "g", ("g", PrimeSplit(4, 3))),  # doubled copies only
+    ((3, 4, 5, 3), "a", ("c", None)),  # a single copy and a doubled one
+    ((2, 12, 5, 3), "b", None),  # no doubled route: single copies
+])
+def test_build_arcs_matches_each_route_once(tup, case, doubled, monkeypatch):
+    # build_arcs reads the routes from check_feasibility and matches none again
+    calls = Counter()
+    for name in ("_match_lambda1", "_match_lambda2"):
+        def spy(*args, _real=getattr(arcs, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(arcs, name, spy)
+    feas = feasib(*tup)
+    assert (feas.case, feas.doubled) == (case, doubled)
+    calls.clear()
+    assert build_arcs(Params(*tup)).factors
+    assert calls and max(calls.values()) == 1
 
 
 def test_build_arcs_raises_for_nonfeasible():

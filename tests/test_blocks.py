@@ -198,21 +198,24 @@ def test_mirrored_base_uses_each_difference_class_once(cycle_len):
     assert sorted(min(d, n - d) for d in steps) == list(range(1, cycle_len + 1))
 
 
-def test_x2_near_block_past_the_short_search_is_mirrored(tmp_path, monkeypatch):
+def test_x2_near_block_is_mirrored(tmp_path, monkeypatch):
     monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
-    budgets = []
-    real = search.rotational_base
+    # for L = 4 the searched base holds the mirrored cycles up to rotation,
+    # so the (4, 9) block keeps the bytes it had when it searched
+    searched = [tuple((v, 0) for v in cyc) for cyc in search.rotational_base(9, 4)]
 
-    def spy(n, cycle_len, budget=search.DEFAULT_BUDGET):
-        budgets.append(budget)
-        return real(n, cycle_len, budget)
+    def no_search(*args, **kwargs):
+        raise AssertionError("an even x = 2 near block reached the rotational search")
 
-    monkeypatch.setattr(search, "rotational_base", spy)
-    factors = blocks.near_cycle_factorization_doubled(16, 33).decomposition.factors
-    assert budgets == [blocks._MIRROR_AFTER]
-    assert [f.hole for f in factors] == list(range(33))
-    base = [tuple((v, 0) for v in cyc) for cyc in blocks._mirrored_base(16)]
-    assert factors[0] == graphs.PartialFactor.build(16, 0, base)
+    monkeypatch.setattr(search, "rotational_base", no_search)
+    for cycle_len in (4, 6, 8, 16):
+        u = 2 * cycle_len + 1
+        factors = blocks.near_cycle_factorization_doubled(cycle_len, u).decomposition.factors
+        assert [f.hole for f in factors] == list(range(u))
+        base = [tuple((v, 0) for v in cyc) for cyc in blocks._mirrored_base(cycle_len)]
+        assert factors[0] == graphs.PartialFactor.build(cycle_len, 0, base)
+        if cycle_len == 4:
+            assert factors[0] == graphs.PartialFactor.build(4, 0, searched)
 
 
 def test_near_cm_triangles_of_k4():

@@ -42,7 +42,9 @@ def test_partial_ck_kplus1_rejects_bad_parameters():
 
 @pytest.mark.parametrize("k,t", [(4, 3), (6, 3), (4, 5)])
 def test_cycle_times_t_is_hamilton_decomposition(k, t):
-    dec = compose.ckt_factorization_cycle_times_t(k, t)
+    res = blocks.ring_factorization(k, t, k * t)
+    assert res.strategy == blocks.EXPLICIT
+    dec = res.decomposition
     assert len(dec.factors) == t - 1
     for f in dec.factors:
         assert f.cycle_length == k * t
@@ -112,8 +114,10 @@ def test_cycle_times_s_rejects_bad_modulus():
 
 
 def test_relabel_and_transpose_roundtrip():
-    dec = compose.ckt_factorization_cycle_times_t(4, 3)
-    f = dec.factors[0]
+    res = blocks.ring_factorization(4, 3, 12)
+    assert res.strategy == blocks.EXPLICIT
+    f = res.decomposition.factors[0]
+    assert len(f.cycles) == 1
     mapped = graphs.blow_up([[(i + 10, 1) for i in range(4)]], f, 5, f.cycle_length)
     assert {v[0] for c in mapped.cycles for v in c} == {10, 11, 12, 13}
     assert {v[1] for c in mapped.cycles for v in c} == {5, 6, 7}

@@ -2,8 +2,9 @@
 
 Each digest is the SHA-256 of the canonical JSON of one cell, recorded from
 a cold-cache build.  The cells cover every case route, the x > 2 hub-and-
-groups assembly of cases a and b, the closed-form partial 1-factorization
-for even x (the frame of (1, 4, 17, 3) and (1, 12, 17, 9)),
+groups assembly of cases a and b (case b's Hamilton layer from the ring
+rows of C_4 x K_3, (1, 12, 17, 9)), the closed-form partial
+1-factorization for even x (the frame of (1, 4, 17, 3) and (1, 12, 17, 9)),
 lambda stacking, every call site of `graphs.blow_up` (case e with x > 2,
 odd y of K_3 x K_ky, both branches of `cycle_times_blocked`) and every walk
 threaded by `graphs.assemble_from_distances` (the K_2 twist of cases d, e
@@ -11,7 +12,9 @@ and the remark, the bipartite distance pairs, the Hamilton halves and the
 tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
 blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
 even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
-y = 2 (2, 6, 3, 12) and the mirrored x = 2 near block (2, 10, 21, 2), and
+y = 2 (2, 6, 3, 12) and the mirrored x = 2 near blocks (2, 6, 13, 2),
+(2, 8, 17, 2) and (2, 10, 21, 2), with (4, 4, 9, 2) for L = 4, whose
+mirrored base is the one the search found, and
 the fall back of `_abstract_cycle_route` from the blocked splitting to
 direct distance rows (2, 10, 16, 12), through the backtracked array
 (5, 12, 6), the closed-form odd ring rows of the (3, 5, 5) request of case
@@ -36,7 +39,7 @@ GOLDEN = {
     (1, 4, 13, 3): "62b4a8ebe42b60e186a0016709b915ae25e819373a170b59377d0fd386593b46",
     (1, 4, 17, 3): "05ea5087d1402f6bf61829124e6ad197fbae9035b6a227f446437b51a476ae02",
     (1, 12, 5, 9): "8795394748e18ac563ea6a0442ac40482168e55db098b78a8ddea330323e6991",
-    (1, 12, 17, 9): "e99546a57c9f7b91800fb018e7b8cfae0a53dd54717734fb6e6617ad7d58d62d",
+    (1, 12, 17, 9): "a780c6ed10870d60709582db6a484415d17fa08090a6d3ef68f09178f4a37186",
     (2, 4, 5, 3): "16f54810249d198145803473d9d4c4526c319bc1321cc07dd1af46d8dd7294ce",
     (2, 6, 3, 6): "34a478602347ae2774a67dca0dc6e2bd0d013290b6b2d8616c8f7829f2379867",
     (2, 8, 4, 8): "11b65d666f5a7024fbf1d8ac8815e4a93c63b50ba0b6072e6f4f7987d2945438",
@@ -55,7 +58,10 @@ GOLDEN = {
     (2, 6, 19, 2): "e355b5523ee1e3ae5b01cf6763a2562a64cbc43372e28f2455a8c3e9d47fd6c4",
     (2, 4, 17, 2): "352ea0e6b519ea893382edbcd991dd6be0e37ee2abffa76858f32a1aa5f26088",
     (2, 6, 3, 12): "3018ac7b28cf5bbc075ce6416ec4d8b3ab80f22c0a37cdc3c65f9ca426294925",
+    (2, 6, 13, 2): "9c243120d1ba6bd29d036159f56062a8fb43f8edf38b11372d2a31bb2fefab72",
+    (2, 8, 17, 2): "72d9e82a7317edaff765a470b264ea08123def0e4b3aa5021260474cb5d518ff",
     (2, 10, 21, 2): "d1dd40699792ba02319498733a7fde05400e92091fa23ef9e697616aea0b9ef4",
+    (4, 4, 9, 2): "6cea0098bd54b75916325aabc149dccac03173f1fefdc7db789cb3f1cdaad753",
     (2, 10, 16, 12): "4e0728cb8d6b50fc11ef06c36a1b36c13ad215e0b998ea56c360377ebce0ea0a",
     (2, 12, 4, 20): "fee08d9a54b3bc006b16c84d664788877e20f0ebf10bce81cb0d3e5f7060b91d",
     (2, 18, 7, 3): "33198c4ef40e44d805136b7bbda995d65314e2e8addb869d46815913edfda39e",
