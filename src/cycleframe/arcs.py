@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import blocks, compose
 from .graphs import (ConstructionBugError, Decomposition, ParameterError, PartialFactor,
-                     assemble_from_distances, blow_up)
+                     UnsupportedBlockError, assemble_from_distances, blow_up, inflate_slots)
 from .verify import verify_arcs
 
 FEASIBLE = "feasible"
@@ -293,14 +293,13 @@ def build_case_u4x(p: Params) -> list[PartialFactor]:
 
 
 def _abstract_cycle_route(r: int, g: int, s: int) -> list[PartialFactor]:
-    """C_{rs}-factorization of the abstract C_r x K_g used by the split cases."""
-    if s % 2 == 0:
-        try:
-            # aligned C_r x K_s holes plus a blown factor layer
-            return compose.cycle_times_blocked(r, s, g // s)
-        except (ParameterError, blocks.search.UnsupportedBlockError):
-            pass
-    return blocks.ring_factorization(r, g, r * s).decomposition.factors
+    """C_{rs}-factorization of the abstract C_r x K_g used by the split cases:
+    the blocked splitting where it applies (even s), else direct ring rows."""
+    try:
+        # aligned C_r x K_s holes plus a blown factor layer
+        return compose.cycle_times_blocked(r, s, g // s)
+    except (ParameterError, UnsupportedBlockError):
+        return blocks.ring_factorization(r, g, r * s).decomposition.factors
 
 
 def build_case_primesplit_l2(p: Params, split: PrimeSplit) -> list[PartialFactor]:
@@ -358,21 +357,20 @@ def build_case_l1(p: Params) -> list[PartialFactor]:
 def build_case_primesplit_l1(p: Params, split: PrimeSplit) -> list[PartialFactor]:
     """lambda = 1, k = r*s with r = 0 (mod 4), g = s (mod 2s) odd.
 
-    The g/s slot blocks carry aligned partial C_{rs}-factorizations of
-    K_u x K_s; the cross-block edges form (K_u x K_q) blown by s, factored
+    `inflate_slots`: the g/s slot blocks carry aligned partial C_{rs}-factors
+    of K_u x K_s; the cross-block edges form (K_u x K_q) blown by s, factored
     by the lambda = 1 partial C_r-route and the blow-up Hamilton cycles.
     """
     lam, k, u, g = p.lam, p.k, p.u, p.g
     r, s = split.r, split.s
     q = g // s
     block = _hub_and_groups(r, s, u, k, compose.partial_ckt_factorization_kplus1_times_t(r, s).factors)
-    copies = [[(pp, b) for pp in range(u)] for b in range(q)]
-    factors = [blow_up(copies, bf, s, k, bf.hole) for bf in sorted(block, key=lambda f: f.hole)]
+    outer, lex = [], []
     if q >= 3:
         outer = build_case_l1(Params(1, r, u, q))
         lex = blocks.ring_factorization(r, s, k, lex=True).decomposition.factors
-        factors.extend(blow_up(of.cycles, lf, s, k, of.hole) for of in outer for lf in lex)
-    return factors
+    blown, copies = inflate_slots(outer, lex, sorted(block, key=lambda f: f.hole), u, q, s, k)
+    return copies + blown
 
 
 # ---------------------------------------------------------------------------

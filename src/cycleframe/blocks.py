@@ -52,8 +52,8 @@ class MatchingFactor:
     edges: tuple[tuple, ...]
 
 
-def _cache_path(family: str, params: tuple) -> Path:
-    blob = json.dumps({"family": family, "params": list(params)}, sort_keys=True)
+def _cache_path(family: str, params: tuple, tag: str) -> Path:
+    blob = json.dumps({"family": family, "params": list(params), "tag": tag}, sort_keys=True)
     digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
     return Path(os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)) / f"{family}-{digest}.json"
 
@@ -70,16 +70,17 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
               holes, tag: str, first=None) -> BlockResult:
     """One factor per entry of `holes`, found behind the cache.
 
-    A cache entry holds only the factor list, read back at `cycle_length`
-    and verified; one that fails is deleted and rebuilt, and one that cannot
-    be read is a miss.  `first()`, when given,
-    is a constructive attempt returning the cycles of each factor or raising
+    An entry is keyed by family, params and `tag`, so one that another
+    construction wrote is never served.  It holds only the factor list,
+    read back at `cycle_length` and verified; one that fails is deleted and
+    rebuilt, one that cannot be read is a miss.  `first()`, when given, is a
+    constructive attempt returning the cycles of each factor or raising
     UnsupportedBlockError; otherwise (or then) the edge search fills each
     factor over every vertex outside its hole part (None: the whole host).
     The cache only saves time: a failed write leaves no temporary file
     behind and does not fail the build.
     """
-    path = _cache_path(family, params)
+    path = _cache_path(family, params, tag)
     try:
         obj = json.loads(path.read_text(encoding="ascii"))
         factors = [serialize.factor_from_obj(f, cycle_length) for f in obj["factors"]]
@@ -342,13 +343,12 @@ def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
         return _finish(host, sorted(factors, key=lambda f: f.hole), EXPLICIT,
                        "near_cycle_hub_and_groups")
 
-    def rotational():
-        base = (_mirrored_base(cycle_len) if cycle_len % 2 == 0
-                else search.rotational_base(u, cycle_len))
-        return _translates(base, u)
-
-    return _searched("near_cycle_ku2", (cycle_len, u), host, cycle_len, range(u),
-                     "near_cycle_rotational", rotational)
+    if cycle_len % 2 == 0:
+        tag, base = "near_cycle_mirrored", lambda: _mirrored_base(cycle_len)
+    else:
+        tag, base = "near_cycle_rotational", lambda: search.rotational_base(u, cycle_len)
+    return _searched("near_cycle_ku2", (cycle_len, u), host, cycle_len, range(u), tag,
+                     lambda: _translates(base(), u))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import blocks
 from .graphs import (ConstructionBugError, Decomposition, ExceptionalCase,
                      MultiGraph, ParameterError, PartialFactor,
-                     assemble_from_distances, blow_up, tensor_complete)
+                     assemble_from_distances, inflate_slots, tensor_complete)
 from .verify import check_partition
 
 
@@ -131,11 +131,11 @@ def _k3_times_kk_base(k: int) -> list[PartialFactor]:
 def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
     """C_k-factorization of K_3 x K_{ky} into ky-1 factors.
 
-    y = 1 comes straight from the Walecki split.  Larger y splits the slots
-    into y blocks: the y aligned copies of K_3 x K_k fill the holes, and the
-    cross-block edges form the blow-up of K_3 x K_y, factored through its
-    triangle ring rows (odd y) or through Hamilton-cycle matchings and
-    complete bipartite blocks (even y, k > 6).
+    y = 1 comes straight from the Walecki split.  Larger y inflates it over
+    y slot blocks (`inflate_slots`): the y aligned copies of K_3 x K_k fill
+    the holes, and the cross-block edges form the blow-up of K_3 x K_y,
+    factored through its triangle ring rows (odd y) or through
+    Hamilton-cycle matchings and complete bipartite blocks (even y, k > 6).
     """
     if k < 6 or k % 2 != 0 or y < 1:
         raise ParameterError(f"K_3 x K_(ky) factorization needs even k >= 6, y >= 1, got ({k}, {y})")
@@ -145,26 +145,20 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
     base = _k3_times_kk_base(k)
     if y == 1:
         return _finish(host, base, "k3_slotside_walecki")
-    factors = []
     if y % 2 == 1:
-        ttt = blocks.ct_factorization_tripartite(k).decomposition.factors
-        for tri_factor in blocks.ring_factorization(3, y, 3).decomposition.factors:
-            factors.extend(blow_up(tri_factor.cycles, level, k, k) for level in ttt)
+        lex = blocks.ct_factorization_tripartite(k).decomposition.factors
+        outer = blocks.ring_factorization(3, y, 3).decomposition.factors
     else:
-        bip = blocks.ck_factorization_bipartite(k, k, k).decomposition.factors
-        hams = blocks.ring_factorization(3, y, 3 * y).decomposition.factors
-        for ham in hams:
-            cyc = ham.cycles[0]
-            length = len(cyc)
+        lex = blocks.ck_factorization_bipartite(k, k, k).decomposition.factors
+        outer = []
+        for ham in blocks.ring_factorization(3, y, 3 * y).decomposition.factors:
             for parity in (0, 1):
-                # side 0 of a bipartite block is the smaller endpoint
-                matching = [sorted((cyc[i], cyc[(i + 1) % length]))
-                            for i in range(parity, length, 2)]
-                factors.extend(blow_up(matching, level, k, k) for level in bip)
-    # hole blocks: each base factor repeated across all y slot blocks
-    copies = [[(p, b) for p in range(3)] for b in range(y)]
-    factors.extend(blow_up(copies, base_factor, k, k) for base_factor in base)
-    return _finish(host, factors, "k3_blocked_blowup")
+                # the matching from position `parity`; `build` puts each edge's
+                # smaller endpoint, side 0 of a bipartite block, first
+                cyc = ham.cycles[0][parity:] + ham.cycles[0][:parity]
+                outer.append(PartialFactor.build(2, None, zip(cyc[::2], cyc[1::2])))
+    blown, copies = inflate_slots(outer, lex, base, 3, y, k, k)
+    return _finish(host, blown + copies, "k3_blocked_blowup")
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +168,26 @@ def ck_factorization_k3_times_kky(k: int, y: int) -> Decomposition:
 def cycle_times_blocked(k: int, block: int, num_blocks: int) -> list[PartialFactor]:
     """C_{k*block}-factors of C_k x K_{block*num_blocks} for even block size.
 
-    Slot blocks are filled by the Hamilton decomposition of C_k x K_block;
-    cross-block edges are the blow-up of C_k x K_{num_blocks}, whose plain
-    C_k-factors inflate through the Hamilton decomposition of C_k (x) K̄_block.
+    `inflate_slots`: slot blocks are filled by the Hamilton decomposition of
+    C_k x K_block; cross-block edges are the blow-up of C_k x K_{num_blocks},
+    whose plain C_k-factors inflate through that of C_k (x) K̄_block.
     """
     if block % 2 != 0:
         raise ParameterError("blocked splitting needs an even block size")
-    factors = []
+    outer, lex = [], []
     if num_blocks >= 2:
         try:
             lex = blocks.ring_factorization(k, block, k * block, lex=True).decomposition.factors
             outer = blocks.ring_factorization(k, num_blocks, k).decomposition.factors
-            factors.extend(blow_up(outer_factor.cycles, lex_factor, block, k * block)
-                           for outer_factor in outer for lex_factor in lex)
         except ParameterError:
             # odd k with num_blocks = 2 (mod 4) has no plain C_k-factor layer;
             # blow the Hamilton cycles of C_k x K_num_blocks instead, cutting
             # them back to length k*block inside the lexicographic inflation
             if block % num_blocks != 0:
                 raise
-            hams = blocks.ring_factorization(k, num_blocks, k * num_blocks).decomposition.factors
+            outer = blocks.ring_factorization(k, num_blocks, k * num_blocks).decomposition.factors
             lex = blocks.ring_factorization(k * num_blocks, block, k * block,
                                             lex=True).decomposition.factors
-            factors.extend(blow_up(ham.cycles, lex_factor, block, k * block)
-                           for ham in hams for lex_factor in lex)
     pten = blocks.ring_factorization(k, block, k * block).decomposition.factors
-    copies = [[(p, b) for p in range(k)] for b in range(num_blocks)]
-    factors.extend(blow_up(copies, hole_factor, block, k * block) for hole_factor in pten)
-    return factors
+    blown, copies = inflate_slots(outer, lex, pten, k, num_blocks, block, k * block)
+    return blown + copies

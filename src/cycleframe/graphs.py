@@ -190,13 +190,25 @@ def blow_up(outer, inner: PartialFactor, size: int, cycle_length: int,
 
     Vertex (x, z) of `inner` on outer cycle c becomes (c[x][0], c[x][1] *
     size + z): abstract position x lands in part c[x], inside the slot block
-    of c[x].  One-slot outer cycles ((part, 0) vertices) only relabel parts;
-    `[[(p, b) for p in parts] for b in blocks]` copies a factor into each
-    slot block.
+    of c[x].  One-slot outer cycles ((part, 0) vertices) only relabel parts.
     """
     return PartialFactor.build(cycle_length, hole, [
         tuple((c[x][0], c[x][1] * size + z) for x, z in cyc)
         for c in outer for cyc in inner.cycles])
+
+
+def inflate_slots(outer, lex, inner, parts: int, num_blocks: int, size: int,
+                  cycle_length: int) -> tuple[list[PartialFactor], list[PartialFactor]]:
+    """K_u x K_{qs} from K_u x K_q and K_u x K_s: u parts, q slot blocks of s.
+
+    Blown layer: each outer factor through every lex factor (of C_r (x) K̄_s,
+    or K_{s,s} for matching edges), keeping its hole.  Copies layer: each
+    inner factor in every slot block b, (x, z) on slot b*s + z, keeping its
+    hole.  lambda*u(q-1)/2 * s + lambda*u(s-1)/2 = lambda*u(qs-1)/2 factors.
+    """
+    blown = [blow_up(of.cycles, lf, size, cycle_length, of.hole) for of in outer for lf in lex]
+    slot_blocks = [[(p, b) for p in range(parts)] for b in range(num_blocks)]
+    return blown, [blow_up(slot_blocks, f, size, cycle_length, f.hole) for f in inner]
 
 
 def trace_two_regular(edges) -> list[Cycle]:

@@ -541,7 +541,7 @@ def test_cache_entry_with_non_integer_values_is_rebuilt(tmp_path, monkeypatch):
 def test_unreadable_cache_entry_is_a_miss(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("CYCLEFRAME_CACHE", str(cache))
-    blocks._cache_path("near_cycle_ku2", (3, 4)).mkdir(parents=True)
+    blocks._cache_path("near_cycle_ku2", (3, 4), "near_cycle_rotational").mkdir(parents=True)
     result = blocks.near_cycle_factorization_doubled(3, 4)
     assert result.strategy == blocks.SEARCH
     assert check_partition(graphs.complete_graph(4, 2), result.decomposition.factors)

@@ -5,10 +5,14 @@ a cold-cache build.  The cells cover every case route, the x > 2 hub-and-
 groups assembly of cases a and b (case b's Hamilton layer from the ring
 rows of C_4 x K_3, (1, 12, 17, 9)), the closed-form partial
 1-factorization for even x (the frame of (1, 4, 17, 3) and (1, 12, 17, 9)),
-lambda stacking, every call site of `graphs.blow_up` (case e with x > 2,
-odd y of K_3 x K_ky, both branches of `cycle_times_blocked`) and every walk
-threaded by `graphs.assemble_from_distances` (the K_2 twist of cases d, e
-and the remark, the bipartite distance pairs, the Hamilton halves and the
+lambda stacking, every site of the slot inflation `graphs.inflate_slots`
+(case b with q = 3 (1, 12, 5, 9), K_3 x K_ky with odd y (2, 6, 4, 18) and
+even y (2, 8, 4, 16), and `cycle_times_blocked` through the plain C_k
+layer (2, 6, 4, 8), its Hamilton fallback (2, 6, 4, 4) for the request
+(3, 2, 2), and a single slot block (2, 12, 4, 4)), the other call sites of
+`graphs.blow_up` (case e with x > 2) and every walk threaded by
+`graphs.assemble_from_distances` (the K_2 twist of cases d, e and the
+remark, the bipartite distance pairs, the Hamilton halves and the
 tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
 blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
 even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
@@ -21,7 +25,8 @@ direct distance rows (2, 10, 16, 12), through the backtracked array
 h (2, 12, 4, 20), and the remark route through the split (6, 3)
 (2, 18, 7, 3); a refactor that changes any output byte fails here.  The bytes
 must also be those of a plain sorted-key `json.dumps`, which the encoder
-only speeds up.
+only speeds up.  A block cache entry that an older version wrote may not
+change them either.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ import json
 
 import pytest
 
+from cycleframe import blocks
 from cycleframe.arcs import Params, build_arcs
-from cycleframe.serialize import canonical_json_bytes, decomposition_to_obj
+from cycleframe.graphs import PartialFactor, complete_graph
+from cycleframe.serialize import canonical_json_bytes, decomposition_to_obj, factor_to_obj
+from cycleframe.verify import check_partition
 
 GOLDEN = {
     (1, 4, 5, 5): "8e54184ee5a786c370021229e057e916c7b3eb1c613fbf1ad2590e6949d527ec",
@@ -75,3 +83,21 @@ def test_output_bytes_match_recorded_digest(cell):
     data = canonical_json_bytes(obj)
     assert data == (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN[cell]
+
+
+def test_an_entry_left_by_an_older_version_is_not_served(tmp_path, monkeypatch):
+    # older versions keyed an entry by family and params alone, so this path
+    # held whichever (6, 13) near block was built first: here a valid one
+    # that is not the mirrored base, the translates of twice that base
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    key = json.dumps({"family": "near_cycle_ku2", "params": [6, 13]}, sort_keys=True)
+    path = tmp_path / f"near_cycle_ku2-{hashlib.sha256(key.encode()).hexdigest()[:16]}.json"
+    doubled = [tuple(2 * v % 13 for v in cyc) for cyc in blocks._mirrored_base(6)]
+    other = [PartialFactor.build(6, j, cycles)
+             for j, cycles in enumerate(blocks._translates(doubled, 13))]
+    assert check_partition(complete_graph(13, 2), other)
+    path.write_bytes(canonical_json_bytes({"factors": [factor_to_obj(f) for f in other]}))
+    p = Params(2, 6, 13, 2)
+    data = canonical_json_bytes(decomposition_to_obj(build_arcs(p), p))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[(2, 6, 13, 2)]
+    assert blocks.near_cycle_factorization_doubled(6, 13).decomposition.factors[0] != other[0]

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleframe import blocks, graphs
+from cycleframe import arcs, blocks, compose, graphs
+from cycleframe.verify import check_partition
 from multisets import edge_multiset
 
 
@@ -228,6 +229,24 @@ def test_blow_up_edge_maps_sides_to_endpoints():
     square = graphs.PartialFactor.build(4, None, [((0, 0), (1, 0), (0, 1), (1, 1))])
     out = graphs.blow_up([((3, 1), (5, 0))], square, 2, 4)
     assert out.cycles == (graphs.canonical_cycle(((3, 2), (5, 0), (3, 3), (5, 1))),)
+
+
+def test_inflate_slots_layers_on_case_b():
+    # K_5 x K_9 with q = 3 blocks of s = 3: case a on K_5 x K_3 blown through
+    # C_4 (x) K̄_3, and the hub block on K_5 x K_3 copied into every block
+    u, q, s, k = 5, 3, 3, 12
+    outer = arcs.build_case_l1(arcs.Params(1, 4, u, q))
+    lex = blocks.ring_factorization(4, s, k, lex=True).decomposition.factors
+    inner = arcs._hub_and_groups(
+        4, s, u, k, compose.partial_ckt_factorization_kplus1_times_t(4, s).factors)
+    blown, copies = graphs.inflate_slots(outer, lex, inner, u, q, s, k)
+    assert len(blown) == len(outer) * len(lex) == u * (q - 1) // 2 * s
+    assert [f.hole for f in blown] == [of.hole for of in outer for _ in lex]
+    assert len(copies) == len(inner) == u * (s - 1) // 2
+    for f, copy in zip(inner, copies):
+        assert copy == graphs.PartialFactor.build(k, f.hole, [
+            tuple((x, b * s + z) for x, z in cyc) for b in range(q) for cyc in f.cycles])
+    assert check_partition(graphs.tensor_complete(u, q * s, 1), blown + copies)
 
 
 def test_trace_two_regular_starts_each_cycle_at_its_least_vertex():
