@@ -259,37 +259,22 @@ def build_case_uodd_g0modk_l2(p: Params) -> list[PartialFactor]:
 
 def build_case_u4x(p: Params) -> list[PartialFactor]:
     """u = 4x, g = ky: triangles of K_4(2) blown through K_3 x K_g factors;
-    for x > 2 the groups of four parts are joined by a blown partial
-    1-factorization whose doubled complete-graph factors ride along."""
+    for x > 2 `blocks.hub_and_groups` spreads them over x groups with no
+    hub, linked by K_{1,1} edges carrying K_2 twists of K_g(2) factors."""
     lam, k, u, g = p.lam, p.k, p.u, p.g
     x, y = u // 4, g // k
     if u % 4 != 0 or g % k != 0 or x == 2:
         raise ParameterError(f"case e/f needs u = 4x (x != 2) and k | g, got ({u}, {g})")
     kky = compose.ck_factorization_k3_times_kky(k, y).factors
     triangles = blocks.near_cycle_factorization_doubled(3, 4).decomposition.factors
-    factors = []
+    inner = [blow_up([[(q, 0) for q in range(4) if q != tf.hole]], kf, 1, k, tf.hole)
+             for tf in triangles for kf in kky]
     if x == 1:
-        for tf in triangles:
-            parts = [[(q, 0) for q in range(4) if q != tf.hole]]
-            factors.extend(blow_up(parts, kf, 1, k, tf.hole) for kf in kky)
-        return factors
-    matchings = blocks.partial_one_factorization_multipartite(x, 4)
+        return inner
     slot_dec = blocks.ck_factorization_complete_doubled(k // 2, g).decomposition
-    twisted = [_k2_twist(sf, k) for sf in slot_dec.factors]
-    for i in range(x):
-        linking = []
-        for mf in (m for m in matchings if m.missing == i):
-            edges = [[(a * 4 + ha, 0), (b * 4 + hb, 0)] for ((a, ha), (b, hb)) in mf.edges]
-            linking.extend(blow_up(edges, tw, 1, k) for tw in twisted)
-        group = []
-        for tf in triangles:
-            parts = [[(i * 4 + q, 0) for q in range(4) if q != tf.hole]]
-            group.extend((i * 4 + tf.hole, blow_up(parts, kf, 1, k)) for kf in kky)
-        if len(group) != len(linking):
-            raise ConstructionBugError("case e/f pairing is out of balance")
-        for (hole, gf), lf in zip(group, linking):
-            factors.append(PartialFactor.build(k, hole, list(gf.cycles) + list(lf.cycles)))
-    return factors
+    edge = PartialFactor.build(2, None, [((0, 0), (1, 0))])
+    return blocks.hub_and_groups(4, g, u, k, inner, [edge],
+                                 [_k2_twist(sf, k) for sf in slot_dec.factors])
 
 
 def _abstract_cycle_route(r: int, g: int, s: int) -> list[PartialFactor]:

@@ -3,7 +3,7 @@
 Each provider returns its factorization as a verified decomposition of an
 explicit host graph.  Where a closed form is classical (rotational near
 1-factorizations and the even-x frame of partial ones, Walecki cycles,
-distance threading, the hub-and-groups spread of K_{r+1} blocks, mirrored
+distance threading, the group spread of K_{r+1} and K_4 blocks, mirrored
 rotational bases, the perfect 1-factorization of the Walecki remainder) it
 is built directly; this covers the doubled complete blocks of even cycle
 length.  Where only existence is cited, a deterministic bounded
@@ -13,6 +13,7 @@ by the request.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -72,13 +73,14 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
 
     An entry is keyed by family, params and `tag`, so one that another
     construction wrote is never served.  It holds only the factor list,
-    read back at `cycle_length` and verified; one that fails is deleted and
-    rebuilt, one that cannot be read is a miss.  `first()`, when given, is a
-    constructive attempt returning the cycles of each factor or raising
-    UnsupportedBlockError; otherwise (or then) the edge search fills each
-    factor over every vertex outside its hole part (None: the whole host).
-    The cache only saves time: a failed write leaves no temporary file
-    behind and does not fail the build.
+    read back at `cycle_length` and verified; one that fails is rebuilt
+    (and deleted if it can be), one that cannot be read is a miss.
+    `first()`, when given, is a constructive attempt returning the cycles
+    of each factor or raising UnsupportedBlockError; otherwise (or then)
+    the edge search fills each factor over every vertex outside its hole
+    part (None: the whole host).  The cache only saves time: a failed
+    write or delete does not fail the build, and a failed write leaves no
+    temporary file behind where it can remove one.
     """
     path = _cache_path(family, params, tag)
     try:
@@ -91,7 +93,8 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
         pass  # missing or unreadable: a miss
     except (ValueError, KeyError, TypeError, IndexError, RecursionError,
             ConstructionBugError):
-        path.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
     raw = None
     if first is not None:
         try:
@@ -114,7 +117,8 @@ def _searched(family: str, params: tuple, host: MultiGraph, cycle_length: int,
                 {"factors": [serialize.factor_to_obj(f) for f in factors]}))
         os.replace(tmp, path)
     except OSError:
-        os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
     return result
 
 
@@ -352,7 +356,7 @@ def near_cycle_factorization_doubled(cycle_len: int, u: int) -> BlockResult:
 
 
 # ---------------------------------------------------------------------------
-# Hub-and-groups spreads of K_{r+1} blocks
+# Group spreads of K_{r+1} and K_4 blocks
 
 
 def _doubled_bipartite_hamiltons(n: int) -> list[PartialFactor]:
@@ -362,34 +366,35 @@ def _doubled_bipartite_hamiltons(n: int) -> list[PartialFactor]:
 
 
 def _on_matching(edges, link: PartialFactor, r: int) -> list[tuple]:
-    """The cycles of `link`, a factor of K_{r/2,r/2}, placed on every matching
-    edge ((a, ha), (b, hb)) of half-groups: (0, z) goes to vertex
-    a*r + ha*r/2 + z and (1, z) to vertex b*r + hb*r/2 + z."""
-    half = r // 2
-    return [tuple(((a * r + ha * half + z) if side == 0 else (b * r + hb * half + z), 0)
+    """The cycles of `link`, a factor of K_{h,h} (2h vertices), placed on
+    every matching edge ((a, ha), (b, hb)) of levels in groups of r: (0, z)
+    goes to vertex a*r + ha*h + z and (1, z) to vertex b*r + hb*h + z."""
+    h = sum(map(len, link.cycles)) // 2
+    return [tuple(((a * r + ha * h + z) if side == 0 else (b * r + hb * h + z), 0)
                   for side, z in cyc)
             for ((a, ha), (b, hb)) in edges for cyc in link.cycles]
 
 
 def hub_and_groups(r: int, t: int, u: int, cycle_length: int,
                    inner, links, abstract) -> list[PartialFactor]:
-    """Partial C_L-factorization over u = rx+1 parts of t slots, x > 2.
+    """Partial C_L-factorization over u = rx or rx+1 parts of t slots, x > 2.
 
-    `inner` partially factors the same host on r+1 parts around the hub
-    part r: K_{r+1} x K_t for cases a and b, K_{r+1}(2) with t = 1 for the
-    near block.  Each of the x groups of r parts carries a copy of it around
-    the shared hub part u-1.  A blown partial 1-factorization of K_x (x) K̄_2
-    links the groups: each matching edge joins two half-groups and carries
-    every factor of `links`, the C_r-factors of K_{r/2,r/2} (doubled for the
-    near block), whose cycles of parts inflate through every factor of
-    `abstract`: a factorization of C_r x K_t, or the identity C_r when
-    t = 1.  Group factors pair with link factors hole by hole; the factors
-    of all groups that miss the hub merge, as many as `inner` has.
+    `inner` partially factors the same host on r parts, plus the hub part r
+    when u = rx+1: K_{r+1} x K_t for cases a and b, K_{r+1}(2) with t = 1
+    for the near block, (K_4 x K_t)(2) with no hub for cases e and f.  Each
+    of the x groups of r parts carries a copy, around the shared hub part
+    u-1 if there is one.  A blown partial 1-factorization of K_x (x) K̄_{r/h}
+    links the groups: each matching edge joins two levels of h parts and
+    carries every factor of `links`, all of K_{h,h} (the C_r-factors of
+    K_{r/2,r/2}, doubled for the near block, or the edge K_{1,1}), whose
+    cycles of parts inflate through every factor of `abstract` (of C_r x K_t,
+    the identity C_r, or K_2 twists).  Group factors pair with link factors
+    hole by hole; the factors of all groups that miss the hub merge.
     """
-    x = (u - 1) // r
+    x = u // r
     if x < 3:
         raise ParameterError(f"hub-and-groups needs x > 2 part groups, got x = {x}")
-    matchings = partial_one_factorization_multipartite(x, 2)
+    matchings = partial_one_factorization_multipartite(x, 2 * r // sum(map(len, links[0].cycles)))
     hub = u - 1
     per_hole = sum(f.hole == r for f in inner)
     factors = []
@@ -405,7 +410,7 @@ def hub_and_groups(r: int, t: int, u: int, cycle_length: int,
         hub_here = []
         for f in inner:
             mapped = blow_up([[(q, 0) for q in part_map]], f, 1, cycle_length, part_map[f.hole])
-            (hub_here if mapped.hole == hub else group).append(mapped)
+            (hub_here if f.hole == r else group).append(mapped)
         for idx, f in enumerate(hub_here):
             hub_batches[idx].append(f)
         if len(group) != len(linking) or len(hub_here) != per_hole:

@@ -141,7 +141,7 @@ def test_build_case_uodd(tup):
     assert_valid(p, factors)
 
 
-@pytest.mark.parametrize("tup", [(2, 6, 4, 6), (2, 8, 4, 8), (2, 6, 12, 6)])
+@pytest.mark.parametrize("tup", [(2, 6, 4, 6), (2, 8, 4, 8), (2, 6, 12, 6), (2, 8, 12, 16)])
 def test_build_case_u4x(tup):
     p = Params(*tup)
     factors = build_case_u4x(p)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -8,8 +9,10 @@ from collections import Counter
 import pytest
 
 from cycleframe import blocks, graphs, search, serialize
+from cycleframe.arcs import Params, build_arcs
 from cycleframe.verify import check_partition
 from multisets import edge_multiset
+from test_golden import GOLDEN
 
 
 def all_pairs(n):
@@ -435,6 +438,21 @@ def test_failed_cache_write_still_returns_the_block(tmp_path, monkeypatch):
     assert result.strategy == blocks.SEARCH
     assert check_partition(graphs.complete_graph(9, 2), result.decomposition.factors)
     assert list(cache.glob("*.tmp")) == []
+
+
+def test_damaged_cache_entry_that_cannot_be_deleted_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("CYCLEFRAME_CACHE", str(tmp_path))
+    path = blocks._cache_path("near_cycle_ku2", (4, 9), "near_cycle_mirrored")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("[", encoding="ascii")
+
+    def read_only(self, missing_ok=False):
+        raise PermissionError(f"cannot delete {self}")
+
+    monkeypatch.setattr(blocks.Path, "unlink", read_only)
+    p = Params(4, 4, 9, 2)
+    data = serialize.canonical_json_bytes(serialize.decomposition_to_obj(build_arcs(p), p))
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[(4, 4, 9, 2)]
 
 
 def test_wrong_distance_rows_fail_the_partition_check(monkeypatch):

@@ -1,25 +1,25 @@
 """Byte-identity of built decompositions.
 
 Each digest is the SHA-256 of the canonical JSON of one cell, recorded from
-a cold-cache build.  The cells cover every case route, the x > 2 hub-and-
-groups assembly of cases a and b (case b's Hamilton layer from the ring
-rows of C_4 x K_3, (1, 12, 17, 9)), the closed-form partial
+a cold-cache build.  The cells cover every case route; every user of the
+group spread `blocks.hub_and_groups`: cases a and b (1, 4, 17, 3) and
+(1, 12, 17, 9) (case b's Hamilton layer from the ring rows of C_4 x K_3),
+the near blocks with odd x (2, 6, 19, 2) and even x (2, 4, 17, 2), case e
+(2, 6, 12, 6) and case f (2, 8, 12, 16); the closed-form partial
 1-factorization for even x (the frame of (1, 4, 17, 3) and (1, 12, 17, 9)),
 lambda stacking, every site of the slot inflation `graphs.inflate_slots`
 (case b with q = 3 (1, 12, 5, 9), K_3 x K_ky with odd y (2, 6, 4, 18) and
 even y (2, 8, 4, 16), and `cycle_times_blocked` through the plain C_k
 layer (2, 6, 4, 8), its Hamilton fallback (2, 6, 4, 4) for the request
 (3, 2, 2), and a single slot block (2, 12, 4, 4)), the other call sites of
-`graphs.blow_up` (case e with x > 2) and every walk threaded by
+`graphs.blow_up` and every walk threaded by
 `graphs.assemble_from_distances` (the K_2 twist of cases d, e and the
 remark, the bipartite distance pairs, the Hamilton halves and the
 tripartite doubling of (2, 8, 4, 24)), and the closed-form doubled complete
-blocks: the hub-and-groups near block with odd x (2, 6, 19, 2) and with
-even x over the frame's matchings (2, 4, 17, 2), the Walecki groups with
-y = 2 (2, 6, 3, 12) and the mirrored x = 2 near blocks (2, 6, 13, 2),
-(2, 8, 17, 2) and (2, 10, 21, 2), with (4, 4, 9, 2) for L = 4, whose
-mirrored base is the one the search found, and
-the fall back of `_abstract_cycle_route` from the blocked splitting to
+blocks: the Walecki groups with y = 2 (2, 6, 3, 12) and the mirrored x = 2
+near blocks (2, 6, 13, 2), (2, 8, 17, 2) and (2, 10, 21, 2), with
+(4, 4, 9, 2) for L = 4, whose mirrored base is the one the search found,
+and the fall back of `_abstract_cycle_route` from the blocked splitting to
 direct distance rows (2, 10, 16, 12), through the backtracked array
 (5, 12, 6), the closed-form odd ring rows of the (3, 5, 5) request of case
 h (2, 12, 4, 20), and the remark route through the split (6, 3)
@@ -59,6 +59,7 @@ GOLDEN = {
     (3, 4, 5, 3): "87e0cd9253656fc6c819c046116790cdcf85c662a94e4574d25850ca865b7969",
     (4, 4, 5, 2): "7efa22f7257b77f86e14e8531ee7b58175695e06de04b61cfb92ab2c5382f8d4",
     (2, 6, 12, 6): "ec3c86385923c523bf4e479ab9db1e5c9d9d8737713e53e920d38eadff4f2607",
+    (2, 8, 12, 16): "ce4ee9aa76f6427ab02ec2a5782e5ed7e8c66097a7aab51a511e2db0da975645",
     (2, 6, 4, 18): "370b8150a4d62ac080062c72c1b1d3084e38a5266f680b95f962a71fa831d586",
     (2, 6, 4, 8): "0c303c3d0c7098264cb464ad76eac614a9f4bcd6d50bd278f85f19ddf1dbb67e",
     (2, 6, 4, 4): "c5530895a64ed4796e1873841a1286a87f4ade383766fd67921e550d2baa46d2",
