@@ -63,9 +63,12 @@ def factor_from_obj(obj: dict[str, Any], cycle_length: int) -> PartialFactor:
 
 
 def decomposition_to_obj(dec: Decomposition, params) -> dict[str, Any]:
+    """The document of `dec`: a factor object that occurs more than once (a
+    stacked copy) maps to one dict, which `canonical_json_bytes` encodes once."""
+    objs = {id(f): factor_to_obj(f) for f in dec.factors}
     return {
         "params": {"lambda": params.lam, "k": params.k, "u": params.u, "g": params.g},
-        "factors": [factor_to_obj(f) for f in dec.factors],
+        "factors": [objs[id(f)] for f in dec.factors],
         "provenance": list(dec.provenance),
     }
 
@@ -114,14 +117,16 @@ def canonical_json_bytes(obj: Any) -> bytes:
     vertices must be integer pairs (tuples or lists): a vertex first seen
     with another coordinate type raises ValueError, and as the lookup is by
     value, a float equal to an integer already seen takes the integer's
-    text.  Every other value goes through `json.dumps`.
+    text.  A factor object listed more than once is encoded once.  Every
+    other value goes through `json.dumps`.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("factors"), list):
         return (_dumps(obj) + "\n").encode("ascii")
     vertex = _VertexStrings().__getitem__
-    factors = [_object({key: _cycles(val, vertex) if key == "cycles" else _dumps(val)
-                        for key, val in f.items()}) for f in obj["factors"]]
+    distinct = {id(f): f for f in obj["factors"]}
+    encoded = {key: _object({name: _cycles(val, vertex) if name == "cycles" else _dumps(val)
+                             for name, val in f.items()}) for key, f in distinct.items()}
     texts = {key: _dumps(val) for key, val in obj.items() if key != "factors"}
-    texts["factors"] = "[" + ",".join(factors) + "]"
+    texts["factors"] = "[" + ",".join([encoded[id(f)] for f in obj["factors"]]) + "]"
     return (_object(texts) + "\n").encode("ascii")
 

@@ -8,7 +8,8 @@ to the host's total.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import search
@@ -33,7 +34,29 @@ class Result:
 OK = Result(True)
 
 
-def _cover(factors, num_parts: int, part_size: int, k: int | None,
+def _edge_fault(fi: int, ci: int, a, b, claimed: int) -> Result:
+    (p, s), (q, t) = a, b
+    return Result.failure("edge over-covered" if claimed > 1 else "edge not in host",
+                          factor=fi, factor_cycle=ci, edge=tuple(sorted(((p, s), (q, t)))),
+                          claimed=claimed)
+
+
+def _replay(used, record: tuple[list[int], list[int]], factor, fi: int,
+            length: int) -> Result | None:
+    """Count a factor's edges again from the ids and allowed copies its first
+    walk recorded, in walk order; the fault a full walk would report, if any."""
+    edges, caps = record
+    for j, e in enumerate(edges):
+        c = used[e] + 1
+        if c > caps[j]:
+            ci, at = divmod(j, length)
+            cyc = factor.cycles[ci]
+            return _edge_fault(fi, ci, cyc[at - 1], cyc[at], c)
+        used[e] = c
+    return None
+
+
+def _cover(factors: Sequence[PartialFactor], num_parts: int, part_size: int, k: int | None,
            pairs: dict[tuple[int, int], int] | int, distinct_slots: bool,
            total: int) -> Result:
     """Walk every cycle once: is the claimed edge multiset exactly the host's?
@@ -48,18 +71,46 @@ def _cover(factors, num_parts: int, part_size: int, k: int | None,
 
     A vertex is counted by its id p*part_size + s once its range and hole
     check passes (before it, (p, part_size) would alias (p+1, 0)), an edge
-    by a*n + b for ids a < b.  Both tables are keyed by the claimed ids only,
-    so memory is bounded by the claim, not by the host; failures report the
+    by a*n + b for ids a < b.  Edges are counted in a zero-filled bytearray
+    of n*n and vertices stamped with the running cycle number in a list of
+    n only once the claim's vertex total (its edge count) equals `total`,
+    n*n <= 8*total (true of every verify_arcs host) and no edge is allowed
+    256 times; otherwise the same walk counts in dicts of the claimed ids,
+    so memory is bounded by the claim, not by the host.  A factor object
+    that occurs again is not walked again: the edge ids and allowed copies
+    recorded on its first walk are replayed in walk order, so the first
+    failure is still the one a full walk reports.  Failures report the
     vertex tuples.
     """
     n = num_parts * part_size
     table = pairs if isinstance(pairs, dict) else None
-    used: dict[int, int] = {}
+    claimed = sum([sum(map(len, f.cycles)) for f in factors])
+    most = pairs if table is None else max(table.values(), default=0)
+    if claimed == total and n * n <= 8 * total and most < 256:
+        used, stamp = bytearray(n * n), [0] * n
+    else:
+        used, stamp = defaultdict(int), defaultdict(int)
+    left = Counter(map(id, factors))  # occurrences of each factor object still to walk
+    replays: dict[int, tuple[list[int], list[int]]] = {}
+    cycle_no = 0
     for fi, factor in enumerate(factors):
+        key = id(factor)
+        left[key] -= 1
         length = factor.cycle_length if k is None else k
+        if key in replays:
+            fault = _replay(used, replays[key] if left[key] else replays.pop(key),
+                            factor, fi, length)
+            if fault is not None:
+                return fault
+            continue
+        if left[key]:
+            edges, caps = replays[key] = ([], [])
+        else:
+            edges = caps = None
         hole = factor.hole
-        seen: dict[int, int] = {}
+        first = cycle_no + 1
         for ci, cyc in enumerate(factor.cycles):
+            cycle_no += 1
             if len(cyc) != length:
                 return Result.failure("cycle length mismatch", factor=fi, factor_cycle=ci,
                                       expected=length, actual=len(cyc))
@@ -68,33 +119,36 @@ def _cover(factors, num_parts: int, part_size: int, k: int | None,
                 if not (0 <= p < num_parts and 0 <= s < part_size) or p == hole:
                     return Result.failure("span mismatch", factor=fi, factor_cycle=ci, vertex=v)
                 x = p * part_size + s
-                if x in seen:
-                    reason = "repeated vertex in cycle" if seen[x] == ci else "cycles share a vertex"
+                if stamp[x] >= first:
+                    reason = ("repeated vertex in cycle" if stamp[x] == cycle_no
+                              else "cycles share a vertex")
                     return Result.failure(reason, factor=fi, factor_cycle=ci, vertex=v)
-                seen[x] = ci
+                stamp[x] = cycle_no
             pp, ps = cyc[-1]
             a = pp * part_size + ps
             for q, t in cyc:
                 b = q * part_size + t
                 e = a * n + b if a < b else b * n + a
-                c = used.get(e, 0) + 1
-                if c > (0 if pp == q or distinct_slots and ps == t else
-                        pairs if table is None else table.get((pp, q) if pp < q else (q, pp), 0)):
-                    ends = sorted(((pp, ps), (q, t)))
-                    return Result.failure("edge over-covered" if c > 1 else "edge not in host",
-                                          factor=fi, factor_cycle=ci, edge=tuple(ends), claimed=c)
+                cap = (0 if pp == q or distinct_slots and ps == t else
+                       pairs if table is None else table.get((pp, q) if pp < q else (q, pp), 0))
+                c = used[e] + 1
+                if c > cap:
+                    return _edge_fault(fi, ci, (pp, ps), (q, t), c)
                 used[e] = c
+                if edges is not None:
+                    edges.append(e)
+                    caps.append(cap)
                 pp, ps, a = q, t, b
-        span = (num_parts - (factor.hole is not None)) * part_size
-        if len(seen) != span:
-            return Result.failure("span mismatch", factor=fi, expected=span, actual=len(seen))
-    claimed = sum(used.values())
-    if claimed != total:
+        span = (num_parts - (hole is not None)) * part_size
+        if len(factor.cycles) * length != span:
+            return Result.failure("span mismatch", factor=fi, expected=span,
+                                  actual=len(factor.cycles) * length)
+    if claimed != total:  # every claimed edge was counted once and none over the host's
         return Result.failure("edge under-covered", claimed=claimed, expected=total)
     return OK
 
 
-def check_partition(host: MultiGraph, factors) -> Result:
+def check_partition(host: MultiGraph, factors: Sequence[PartialFactor]) -> Result:
     """Exact multiset partition check plus per-factor structural validity."""
     return _cover(factors, host.num_parts, host.part_size, None,
                   host.part_pairs, host.distinct_slots, host.edge_count())

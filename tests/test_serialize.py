@@ -38,6 +38,19 @@ def test_json_loaded_document_with_an_edit():
     assert serialize.canonical_json_bytes(obj) == dumps_bytes(obj)
 
 
+@pytest.mark.parametrize("tup", [(4, 4, 5, 2), (4, 6, 3, 3)])
+def test_document_whose_factors_share_objects(tup):
+    # lambda stacking repeats the lambda = 2 factor objects, the zigzag
+    # repeats each of its factors: one dict and one text per distinct object
+    p = Params(*tup)
+    dec = build_arcs(p)
+    distinct = len({id(f) for f in dec.factors})
+    assert distinct < len(dec.factors)
+    obj = serialize.decomposition_to_obj(dec, p)
+    assert len({id(f) for f in obj["factors"]}) == distinct
+    assert serialize.canonical_json_bytes(obj) == dumps_bytes(obj)
+
+
 def test_null_hole_and_escaped_provenance():
     full = PartialFactor.build(3, None, [((0, 0), (1, 0), (2, 0))])
     holed = PartialFactor.build(3, 3, [((2, 1), (1, 0), (0, 0))])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -203,7 +204,10 @@ def reference_result(dec, p, monkeypatch):
         return verify_arcs(dec, p)
 
 
-@pytest.mark.parametrize("tup", [(2, 4, 5, 2), (2, 4, 5, 3), (1, 4, 5, 3)])
+# (4, 4, 5, 2) stacks each lambda = 2 factor object twice and the zigzag of
+# (2, 6, 3, 3) returns each factor twice, so their later occurrences are replayed
+@pytest.mark.parametrize("tup", [(2, 4, 5, 2), (2, 4, 5, 3), (1, 4, 5, 3), (4, 4, 5, 2),
+                                 (2, 6, 3, 3)])
 def test_verify_arcs_agrees_with_reference_verifier(tup, monkeypatch):
     p = Params(*tup)
     dec = build_arcs(p)
@@ -216,7 +220,7 @@ def test_verify_arcs_agrees_with_reference_verifier(tup, monkeypatch):
         assert result == reference_result(edited, p, monkeypatch)
 
 
-@pytest.mark.parametrize("tup", [(2, 4, 5, 2), (1, 4, 5, 3)])
+@pytest.mark.parametrize("tup", [(2, 4, 5, 2), (1, 4, 5, 3), (4, 4, 5, 2), (2, 6, 3, 3)])
 def test_check_partition_agrees_with_reference_cover(tup):
     p = Params(*tup)
     dec = build_arcs(p)
@@ -226,6 +230,36 @@ def test_check_partition_agrees_with_reference_cover(tup):
         factors = _edit(dec, p, rng).factors
         assert check_partition(host, factors) == reference_cover(
             factors, p.u, p.g, None, host.multiplicity, host.edge_count())
+
+
+def test_over_cover_on_a_replayed_factor_names_its_later_index(monkeypatch):
+    # factor 0's object also stands last, in place of the other factor with its
+    # hole (the last factor moves there): the last occurrence is replayed from
+    # factor 0's walk, after every other copy of its edges, so it over-covers
+    p = Params(2, 4, 5, 3)
+    dec = build_arcs(p)
+    f, last = dec.factors[0], len(dec.factors) - 1
+    fi = next(i for i, h in enumerate(dec.factors) if i and h.hole == f.hole)
+    twice = _with_factor(_with_factor(dec, fi, dec.factors[last]), last, f)
+    result = verify_arcs(twice, p)
+    assert result.reason == "edge over-covered" and result.path["factor"] == last
+    assert result == reference_result(twice, p, monkeypatch)
+
+
+def test_claim_smaller_than_its_host_is_refused_without_the_edge_table():
+    # the n*n edge table would take (u*g)**2 = 144 MB here; it waits until the
+    # claim's vertex total equals the host's edge total, which this one's 0 does not
+    p = Params(1, 4, 4000, 3)
+    dec = Decomposition(tuple(PartialFactor(4, hole, ()) for hole in range(p.u)))
+    tracemalloc.start()
+    try:
+        result = verify_arcs(dec, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == Result.failure("span mismatch", factor=0, expected=(p.u - 1) * p.g,
+                                    actual=0)
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("off_host", ["slot g", "slot -1", "part u", "part -1"])
