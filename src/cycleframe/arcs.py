@@ -73,23 +73,6 @@ class ArcsUnavailable(RuntimeError):
         self.feasibility = feasibility
 
 
-def _factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _omega(n: int) -> int:
-    return len(_factorize(n))
-
-
 def _splits(k: int) -> list[PrimeSplit]:
     """Proper splits k = r*s (r, s >= 2), ordered by ascending r; divisors
     are only tried up to sqrt(k), so this takes O(sqrt(k)) steps."""
@@ -122,7 +105,7 @@ def _even_lambda_exception(k: int, u: int, g: int) -> str | None:
             return "(8,4s+2)"
         if u % 4 == 2:
             return "(4t+2,4s+2)"
-        if k == 6 and u % 4 == 0 and g % 6 == 0 and (g // 6) % 2 == 0:
+        if k == 6 and u % 4 == 0 and g % 12 == 0:
             return "(4t,6y,6)"
     return None
 
@@ -134,7 +117,7 @@ def _odd_lambda_exception(k: int, u: int, g: int) -> str | None:
         return "(2x+1,4t,8t+1,y)"
     for sp in _splits(k):
         r, s = sp.r, sp.s
-        if r % 2 == 0 and s >= 3 and s % 2 == 1 and u == 2 * r + 1 and g % s == 0:
+        if r % 2 == 0 and s % 2 == 1 and u == 2 * r + 1 and g % s == 0:
             return "(2x+1,rs,2r+1,sy)"
     return None
 
@@ -142,18 +125,18 @@ def _odd_lambda_exception(k: int, u: int, g: int) -> str | None:
 def _match_lambda1(k: int, u: int, g: int) -> tuple[str, PrimeSplit | None] | None:
     if g % 2 == 0:
         return None
-    if k % 4 == 0 and u % k == 1 and u > k and g >= 3 and (u - 1) // k != 2:
+    if k % 4 == 0 and u % k == 1 and (u - 1) // k != 2:
         return ("a", None)
     for sp in _splits(k):
         r, s = sp.r, sp.s
-        if (r % 4 == 0 and s >= 3 and s % 2 == 1 and u % r == 1 and u > r
-                and (u - 1) // r != 2 and g % (2 * s) == s):
+        if (r % 4 == 0 and s % 2 == 1 and u % r == 1 and (u - 1) // r != 2
+                and g % (2 * s) == s):
             return ("b", sp)
     return None
 
 
 def _match_lambda2(k: int, u: int, g: int) -> tuple[str, PrimeSplit | None] | None:
-    if u % k == 1 and u > k:
+    if u % k == 1:
         return ("c", None)
     if u % 2 == 1 and g % k == 0:
         return ("d", None)
@@ -161,29 +144,25 @@ def _match_lambda2(k: int, u: int, g: int) -> tuple[str, PrimeSplit | None] | No
         y = g // k
         if y % 2 == 1 and k >= 6:
             return ("e", None)
-        if y % 2 == 0 and y >= 2 and k > 6:
+        if y % 2 == 0 and k > 6:
             return ("f", None)
     splits = _splits(k)
     for sp in splits:
         r, s = sp.r, sp.s
-        if (r % 2 == 0 and s >= 3 and s % 2 == 1
-                and u % r == 1 and u > r and g % (2 * s) == 0):
+        if r % 2 == 0 and s % 2 == 1 and u % r == 1 and g % (2 * s) == 0:
             return ("g", sp)
     for sp in splits:
         r, s = sp.r, sp.s
-        if (r % 2 == 1 and r >= 3 and s % 2 == 0 and u % r == 1 and u > r
-                and g % s == 0 and g % 4 != 2):
+        if r % 2 == 1 and s % 2 == 0 and u % r == 1 and g % s == 0 and g % 4 != 2:
             return ("h", sp)
     for sp in splits:
         r, s = sp.r, sp.s
-        if (r % 2 == 0 and s % 2 == 0 and u % r == 1 and u > r and g % s == 0
-                and _omega(r) >= 2 and _omega(s) >= 2):
+        if r >= 4 and s >= 4 and r % 2 == 0 and s % 2 == 0 and u % r == 1 and g % s == 0:
             return ("i", sp)
     if k % 4 == 2:
         for sp in splits:
             r, s = sp.r, sp.s
-            if (r % 2 == 0 and s >= 3 and s % 2 == 1 and u % r == 1 and u > r
-                    and g % (2 * s) == s):
+            if r % 2 == 0 and u % r == 1 and g % (2 * s) == s:
                 return ("remark", sp)
     return None
 
@@ -258,17 +237,17 @@ def build_case_uodd_g0modk_l2(p: Params) -> list[PartialFactor]:
 
 
 def build_case_u4x(p: Params) -> list[PartialFactor]:
-    """u = 4x, g = ky: triangles of K_4(2) blown through K_3 x K_g factors;
-    for x > 2 `blocks.hub_and_groups` spreads them over x groups with no
+    """u = 4x, g = ky: the inner layer is K_3 x K_g blown onto the four
+    triples of parts (the factor missing part h on the parts other than h);
+    for x > 2 `blocks.hub_and_groups` spreads it over x groups with no
     hub, linked by K_{1,1} edges carrying K_2 twists of K_g(2) factors."""
     lam, k, u, g = p.lam, p.k, p.u, p.g
     x, y = u // 4, g // k
     if u % 4 != 0 or g % k != 0 or x == 2:
         raise ParameterError(f"case e/f needs u = 4x (x != 2) and k | g, got ({u}, {g})")
     kky = compose.ck_factorization_k3_times_kky(k, y).factors
-    triangles = blocks.near_cycle_factorization_doubled(3, 4).decomposition.factors
-    inner = [blow_up([[(q, 0) for q in range(4) if q != tf.hole]], kf, 1, k, tf.hole)
-             for tf in triangles for kf in kky]
+    inner = [blow_up([[(q, 0) for q in range(4) if q != h]], kf, 1, k, h)
+             for h in range(4) for kf in kky]
     if x == 1:
         return inner
     slot_dec = blocks.ck_factorization_complete_doubled(k // 2, g).decomposition

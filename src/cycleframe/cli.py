@@ -23,8 +23,8 @@ import sys
 import time
 
 from . import serialize
-from .arcs import (ArcsUnavailable, FEASIBLE, INFEASIBLE, OPEN_EXCEPTION,
-                   Params, UNSUPPORTED, build_arcs, check_feasibility)
+from .arcs import (FEASIBLE, INFEASIBLE, OPEN_EXCEPTION, Params, UNSUPPORTED, build_arcs,
+                   check_feasibility)
 from .graphs import ConstructionBugError, ParameterError, UnsupportedBlockError
 from .verify import verify_arcs
 
@@ -98,10 +98,6 @@ def cmd_build(args) -> int:
     except ConstructionBugError as exc:
         print(f"ConstructionBug: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION_BUG
-    except ArcsUnavailable as exc:
-        print(f"{_VERDICT_LABEL[exc.feasibility.verdict]}: {exc.feasibility.detail}",
-              file=sys.stderr)
-        return _VERDICT_EXIT[exc.feasibility.verdict]
     except UnsupportedBlockError as exc:
         print(f"UnsupportedCase: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -172,7 +168,7 @@ def cmd_table(args) -> int:
             if feas:
                 try:
                     count = len(build_arcs(p).factors)
-                except (ConstructionBugError, ArcsUnavailable, UnsupportedBlockError) as exc:
+                except (ConstructionBugError, UnsupportedBlockError) as exc:
                     failures += 1
                     count = f"FAILED: {exc}"
             millis = round((time.perf_counter() - started) * 1000)

@@ -105,7 +105,11 @@ def _object(texts: dict[str, str]) -> str:
 def _cycles(cycles, vertex) -> str:
     if not cycles:
         return "[]"
-    return "[[" + "],[".join([",".join(map(vertex, map(tuple, cyc))) for cyc in cycles]) + "]]"
+    try:
+        rows = [",".join(map(vertex, cyc)) for cyc in cycles]
+    except TypeError:  # list vertices, as json.loads gives them, are unhashable
+        rows = [",".join(map(vertex, map(tuple, cyc))) for cyc in cycles]
+    return "[[" + "],[".join(rows) + "]]"
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

@@ -71,25 +71,23 @@ def _cover(factors: Sequence[PartialFactor], num_parts: int, part_size: int, k: 
 
     A vertex is counted by its id p*part_size + s once its range and hole
     check passes (before it, (p, part_size) would alias (p+1, 0)), an edge
-    by a*n + b for ids a < b.  Edges are counted in a zero-filled bytearray
-    of n*n and vertices stamped with the running cycle number in a list of
-    n only once the claim's vertex total (its edge count) equals `total`,
-    n*n <= 8*total (true of every verify_arcs host) and no edge is allowed
-    256 times; otherwise the same walk counts in dicts of the claimed ids,
-    so memory is bounded by the claim, not by the host.  A factor object
-    that occurs again is not walked again: the edge ids and allowed copies
-    recorded on its first walk are replayed in walk order, so the first
-    failure is still the one a full walk reports.  Failures report the
-    vertex tuples.
+    by a*n + b for ids a < b.  Vertices are stamped with the running cycle
+    number in a list of n; edges are counted in a zero-filled bytearray of
+    n*n once n*n <= 8 times the claim's vertex total (its edge count) and no
+    edge is allowed 256 times, else in a dict of the claimed ids (a claim of
+    fewer than n*n/8 edges, such as one on a sparse check_partition host).  A
+    verify_arcs host has n = ug <= 4 times its factor count, so memory is
+    bounded by the claim.  A factor object that occurs again is not walked
+    again: the edge ids and allowed copies recorded on its first walk are
+    replayed in walk order, so the first failure is still the one a full
+    walk reports.  Failures report the vertex tuples.
     """
     n = num_parts * part_size
     table = pairs if isinstance(pairs, dict) else None
     claimed = sum([sum(map(len, f.cycles)) for f in factors])
     most = pairs if table is None else max(table.values(), default=0)
-    if claimed == total and n * n <= 8 * total and most < 256:
-        used, stamp = bytearray(n * n), [0] * n
-    else:
-        used, stamp = defaultdict(int), defaultdict(int)
+    used = bytearray(n * n) if n * n <= 8 * claimed and most < 256 else defaultdict(int)
+    stamp = [0] * n
     left = Counter(map(id, factors))  # occurrences of each factor object still to walk
     replays: dict[int, tuple[list[int], list[int]]] = {}
     cycle_no = 0

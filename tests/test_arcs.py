@@ -35,7 +35,7 @@ def test_exception_families():
     assert feasib(2, 4, 6, 4).detail == "(2s,4t,4x+2)"
     assert feasib(2, 6, 6, 6).detail == "(4t+2,4s+2)"
     assert feasib(2, 6, 8, 6).detail == "(8,4s+2)"
-    assert feasib(2, 6, 4, 12).detail == "(4t,6y,6)"
+    assert feasib(2, 6, 4, 12).detail == "(4t,6y,6)"  # 12 | g; (2, 6, 4, 6) is case e
     assert feasib(1, 4, 9, 3).detail == "(2x+1,4t,8t+1,y)"
     assert feasib(3, 4, 9, 3).detail == "(2x+1,4t,8t+1,y)"
     assert feasib(1, 12, 9, 3).detail == "(2x+1,rs,2r+1,sy)"
@@ -54,12 +54,15 @@ def test_case_assignments():
     assert feasib(2, 8, 12, 16 // 2).detail in ("case e", "case h")  # g = 8, y = 1
     assert feasib(2, 12, 5, 6).detail == "case g"
     assert feasib(2, 6, 4, 4).detail == "case h"
+    # case i needs r, s >= 4, each with two prime factors
+    assert (feasib(2, 16, 5, 4).case, feasib(2, 16, 5, 4).split) == ("i", PrimeSplit(4, 4))
     assert feasib(2, 6, 3, 3).detail == "case remark"
     assert feasib(3, 4, 5, 3).detail == "case a"
 
 
 def test_unsupported_cases_are_reported_not_built():
-    for tup in [(2, 6, 4, 2), (2, 8, 5, 4), (2, 4, 3, 6), (1, 6, 7, 3)]:
+    # (2, 16, 3, 8): its split (2, 8) has r = 2, too small for case i
+    for tup in [(2, 6, 4, 2), (2, 8, 5, 4), (2, 4, 3, 6), (1, 6, 7, 3), (2, 16, 3, 8)]:
         f = feasib(*tup)
         assert f.verdict == "unsupported"
         with pytest.raises(ArcsUnavailable):
@@ -142,7 +145,10 @@ def test_build_case_uodd(tup):
 
 
 @pytest.mark.parametrize("tup", [(2, 6, 4, 6), (2, 8, 4, 8), (2, 6, 12, 6), (2, 8, 12, 16)])
-def test_build_case_u4x(tup):
+def test_build_case_u4x(tup, monkeypatch):
+    # the inner layer needs only the four triples of parts, no K_4(2) block
+    monkeypatch.setattr(arcs.blocks, "near_cycle_factorization_doubled",
+                        lambda *args: pytest.fail("K_4(2) near C_3 block requested"))
     p = Params(*tup)
     factors = build_case_u4x(p)
     assert len(factors) == p.u * (p.g - 1)
@@ -263,6 +269,20 @@ def test_dispatcher_totality_full_grid():
                                          "open_exception", "unsupported")
                     if f.verdict == "feasible":
                         assert f.case is not None
+
+
+def test_census_grid_verdict_counts():
+    # the census grid of perfbench/workloads.json, counted by route
+    counts = Counter()
+    for lam in (1, 2, 3, 4):
+        for k in (4, 6, 8, 10, 12, 16):
+            for u in range(3, 34):
+                for g in range(2, 25):
+                    f = check_feasibility(Params(lam, k, u, g))
+                    counts[f.case or f.verdict] += 1
+    assert counts == {"a": 264, "b": 80, "c": 1104, "d": 392, "e": 98, "f": 42, "g": 24,
+                      "h": 82, "i": 60, "remark": 140, "infeasible": 13556,
+                      "open_exception": 584, "unsupported": 686}
 
 
 def test_build_succeeds_on_every_feasible_midrange_cell():

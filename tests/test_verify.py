@@ -246,9 +246,24 @@ def test_over_cover_on_a_replayed_factor_names_its_later_index(monkeypatch):
     assert result == reference_result(twice, p, monkeypatch)
 
 
+def test_claim_one_cycle_short_is_counted_in_the_edge_table(monkeypatch):
+    # 116 of the host's 120 edges: (u*g)**2 = 225 <= 8*116, so the walk counts
+    # in the byte table, never a dict, and still names the short factor
+    p = Params(2, 4, 5, 3)
+    dec = build_arcs(p)
+    fi = len(dec.factors) // 2
+    f = dec.factors[fi]
+    short = _with_factor(dec, fi, PartialFactor(f.cycle_length, f.hole, f.cycles[1:]))
+    with monkeypatch.context() as m:
+        m.setattr(verify, "defaultdict", lambda *args: pytest.fail("dict walk"))
+        result = verify_arcs(short, p)
+    assert result.reason == "span mismatch" and result.path["factor"] == fi
+    assert result == reference_result(short, p, monkeypatch)
+
+
 def test_claim_smaller_than_its_host_is_refused_without_the_edge_table():
-    # the n*n edge table would take (u*g)**2 = 144 MB here; it waits until the
-    # claim's vertex total equals the host's edge total, which this one's 0 does not
+    # the n*n edge table would take (u*g)**2 = 144 MB here; it waits until
+    # (u*g)**2 is at most 8 times the claim's vertex total, which here is 0
     p = Params(1, 4, 4000, 3)
     dec = Decomposition(tuple(PartialFactor(4, hole, ()) for hole in range(p.u)))
     tracemalloc.start()
